@@ -12,18 +12,6 @@
 
 namespace htapex {
 
-/// Three-way comparison of evaluated sort-key rows under `keys`: negative
-/// when `a` precedes `b`. Shared so the row executor's sort, its bounded
-/// TopN heap, and the vectorized executor order ties identically.
-inline int CompareSortKeyRows(const std::vector<SortKey>& keys, const Row& a,
-                              const Row& b) {
-  for (size_t i = 0; i < keys.size(); ++i) {
-    int c = a[i].Compare(b[i]);
-    if (c != 0) return keys[i].descending ? -c : c;
-  }
-  return 0;
-}
-
 /// Aggregate accumulator for one group. Shared between the row-at-a-time
 /// executor and the vectorized executor so both produce bit-identical
 /// aggregate results (including the int→double SUM promotion point).

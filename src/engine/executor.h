@@ -22,6 +22,13 @@ struct ExecStats {
   std::map<const PlanNode*, size_t> actual_rows;
 };
 
+/// True when every table a kSiftedScan in `sifted` targets was scanned in
+/// the run that produced `stats` — typically the same query's unsifted
+/// plan. A hash join whose build side comes back empty skips its whole
+/// probe subtree, so an unsifted plan may never scan the table a sift
+/// would shrink; a sift cannot save rows there.
+bool RanSiftTargets(const PlanNode& sifted, const ExecStats& stats);
+
 /// A query result: named columns plus rows of values.
 struct QueryResultSet {
   std::vector<std::string> column_names;
@@ -36,7 +43,9 @@ struct QueryResultSet {
 /// AP operators read the ColumnStore (referenced columns, zone-map
 /// pruning). Execution is materializing — correctness-oriented; the
 /// latency model (latency_model.h), not wall time, provides the
-/// at-scale timings the explainer reasons about.
+/// at-scale timings the explainer reasons about. The scans and the index
+/// nested-loop join are this executor's own; every other operator is the
+/// shared row_ops library, which the VecExecutor runs too.
 class Executor {
  public:
   Executor(const Catalog& catalog, const RowStore& row_store,
@@ -59,16 +68,8 @@ class Executor {
   Result<Rows> RunIndexScan(const PlanNode& node, int total_slots) const;
   Result<Rows> RunColumnScan(const PlanNode& node, int total_slots) const;
   Result<Rows> RunSiftedScan(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunFilter(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunNestedLoopJoin(const PlanNode& node, int total_slots) const;
   Result<Rows> RunIndexNestedLoopJoin(const PlanNode& node,
                                       int total_slots) const;
-  Result<Rows> RunHashJoin(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunAggregate(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunSort(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunTopN(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunLimit(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunProject(const PlanNode& node, int total_slots) const;
 
   /// Fetches one base-table row into the composite layout.
   Row MakeComposite(const PlanNode& scan, const Row& base_row,

@@ -4,7 +4,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -14,6 +13,7 @@
 #include "engine/executor.h"
 #include "engine/join_table.h"
 #include "engine/morsel.h"
+#include "engine/row_ops.h"
 #include "plan/plan_node.h"
 #include "storage/column_store.h"
 
@@ -24,12 +24,18 @@ namespace htapex {
 /// Scan→hash-join pipelines run morsel-parallel: workers claim
 /// segment-aligned row ranges from a shared dispatcher, evaluate scan
 /// predicates as column-at-a-time masks over borrowed column spans
-/// (kernels::MaskCmp* et al., per-morsel Arena scratch), late-materialize
-/// survivors, and probe the shared (read-only) hash tables built once
-/// before the parallel region. Aggregations directly above a pipeline fold
-/// into it as per-morsel partial states merged at the pipeline breaker;
-/// everything else (sort, top-N, projection, non-pipeline joins) runs
-/// sequentially with the row executor's exact semantics.
+/// (kernels::MaskCmp* et al., per-morsel Arena scratch), apply a scan's
+/// Bloom sifts to the selection vector, and probe the shared (read-only)
+/// flat JoinTables built once before the parallel region: probe keys for a
+/// whole morsel are gathered through the selection vector into typed spans,
+/// bulk-hashed (kernels::HashI64/F64/Bytes) and probed with software
+/// prefetch; tuples travel the join spine as (scan offset, build indices)
+/// and composite rows materialize once, at the sink. Aggregations directly
+/// above a pipeline fold into it as per-morsel partial states merged at the
+/// pipeline breaker. Everything else (filter, sort, top-N, limit,
+/// projection, nested-loop and non-pipeline joins, aggregation over a
+/// non-pipeline input) runs the shared sequential operators of row_ops.h —
+/// the same code the row executor runs.
 ///
 /// Parity contract: for any AP plan this executor produces byte-identical
 /// QueryResultSet::Fingerprint() output and identical per-node ExecStats
@@ -37,22 +43,6 @@ namespace htapex {
 /// count — morsel results merge in morsel index order, group maps are
 /// ordered, and double-SUM reassociation is absorbed by the fingerprint's
 /// %.6g normalization just like the existing TP-vs-AP cross-check.
-/// How the pipeline probes its join build sides. The batch path is the
-/// production default; the row-at-a-time path is the pre-batch
-/// implementation kept verbatim as the A/B baseline bench_vexec's join
-/// speedup gate measures against (and a fallback knob).
-enum class VecProbeMode {
-  /// Flat JoinTable + gathered key columns + late materialization: probe
-  /// keys for a whole morsel are gathered through the selection vector
-  /// into typed spans, bulk-hashed (kernels::HashI64/F64), and probed with
-  /// software prefetch; tuples travel the join spine as (scan offset,
-  /// build indices) and composite rows materialize once, at the sink.
-  kBatch,
-  /// Historical path: materialize composite rows after the scan, then
-  /// per-row EvalExpr + unordered_multimap::equal_range per join.
-  kRowAtATime,
-};
-
 class VecExecutor {
  public:
   /// Morsel granularity: 4 column-store segments, keeping zone-map pruning
@@ -68,10 +58,6 @@ class VecExecutor {
   void set_num_workers(int n) { requested_workers_ = n; }
   int effective_workers() const;
 
-  /// Probe-path A/B knob; both modes satisfy the parity contract.
-  void set_probe_mode(VecProbeMode mode) { probe_mode_ = mode; }
-  VecProbeMode probe_mode() const { return probe_mode_; }
-
   /// Runs an AP plan; `output_names` labels the result columns. When
   /// `stats` is provided, per-node actual cardinalities are recorded.
   /// TP-only operators (row scans, index probes) are rejected.
@@ -81,7 +67,7 @@ class VecExecutor {
 
  private:
   using Rows = std::vector<Row>;
-  using GroupMap = std::map<Row, std::vector<AggState>, RowLess>;
+  using GroupMap = rowops::GroupMap;
 
   /// Where a join's probe key comes from, resolved once per pipeline so
   /// the batch probe can gather/hash whole morsels without EvalExpr.
@@ -91,18 +77,13 @@ class VecExecutor {
     kComputed,     // anything else: per-tuple EvalExpr fallback
   };
 
-  /// One hash-join build side, constructed before the parallel region and
-  /// probed read-only by all workers. Exactly one of `table` (row-at-a-time
-  /// mode) / `flat` (batch mode) is populated.
-  struct BuiltJoin {
+  /// One hash-join build side (rowops::BuildJoin), indexed into a flat
+  /// JoinTable before the parallel region and probed read-only by all
+  /// workers.
+  struct BuiltJoin : rowops::JoinBuild {
     const PlanNode* node = nullptr;
-    Rows build_rows;
-    std::vector<Value> build_keys;
-    std::unordered_multimap<uint64_t, size_t> table;
     JoinTable flat;
-    std::vector<std::pair<int, int>> build_ranges;
-    bool cross = false;  // no equi-keys: degenerate cross join
-    // Batch-mode probe-key resolution (ResolveKeySources).
+    // Probe-key resolution (ResolveKeySources).
     KeySource key_source = KeySource::kComputed;
     int key_ordinal = -1;   // kScanColumn: schema ordinal in spec.table
     int key_src_join = -1;  // kBuildColumn: earlier join index (bottom-up)
@@ -135,13 +116,13 @@ class VecExecutor {
     /// region, and probed read-only by the morsel workers.
     std::vector<const BloomFilter*> scan_sifts;
     std::vector<int> sift_ordinals;
-    /// True when a spine join's build side came back empty: the inner join
-    /// above it is empty no matter what the probe side holds, so the
-    /// pipeline stops building there and never runs the scan or the morsel
-    /// loop. `joins` then holds only the top-down prefix that was built
-    /// (the cut join last) and `nodes` mirrors it — exactly the node set
-    /// the row executor touches when its build-first RunHashJoin returns
-    /// early.
+    /// True when rowops::BuildJoin reported a spine join's build side
+    /// empty: the inner join above it is empty no matter what the probe
+    /// side holds, so the pipeline stops building there and never runs the
+    /// scan or the morsel loop. `joins` then holds only the top-down prefix
+    /// that was built (the cut join last) and `nodes` mirrors it — exactly
+    /// the node set the row executor touches when its shared hash join
+    /// returns early.
     bool empty_cut = false;
   };
 
@@ -165,52 +146,33 @@ class VecExecutor {
                        PipelineSpec* spec) const;
   /// Resolves each equi-join's probe-key source for the batch probe.
   void ResolveKeySources(PipelineSpec* spec) const;
+  /// One morsel through the pipeline: scan selection, fused typed sift,
+  /// gathered key hashing, flat-table probing with prefetch, late
+  /// materialization at the sink.
   Status ProcessMorsel(const PipelineSpec& spec, const Morsel& morsel,
                        int total_slots, kernels::Arena* arena,
                        MorselOut* out) const;
-  /// Batch probe: fused typed sift, gathered key hashing, flat-table
-  /// probing with prefetch, late materialization at the sink.
-  Status ProcessMorselBatch(const PipelineSpec& spec, const Morsel& morsel,
-                            int total_slots, kernels::Arena* arena,
-                            MorselOut* out) const;
-  /// Pre-batch probe (VecProbeMode::kRowAtATime), kept as the honest A/B
-  /// baseline: composite rows from the scan on, multimap equal_range.
-  Status ProcessMorselRows(const PipelineSpec& spec, const Morsel& morsel,
-                           int total_slots, kernels::Arena* arena,
-                           MorselOut* out) const;
   Status TypedAggMorsel(const PipelineSpec& spec, const struct VecBatch& batch,
                         kernels::Arena* arena, MorselOut* out) const;
   /// Runs the morsel loop over `spec` (inline or on the worker pool),
-  /// filling one MorselOut per morsel.
-  void RunMorselLoop(const PipelineSpec& spec, int total_slots,
-                     std::vector<MorselOut>* outs) const;
+  /// filling one MorselOut per morsel, indexed by morsel so merging them in
+  /// order is independent of scheduling; returns the first morsel error in
+  /// that order.
+  Status RunMorselLoop(const PipelineSpec& spec, int total_slots,
+                       std::vector<MorselOut>* outs) const;
   void RecordPipelineStats(const PipelineSpec& spec,
                            const std::vector<MorselOut>& outs) const;
 
   Result<Rows> RunPipeline(const PlanNode& root, int total_slots) const;
-  Result<Rows> RunAggregate(const PlanNode& node, int total_slots) const;
+  /// An aggregate over a pipeline chain, folded into the morsel loop.
+  Result<Rows> RunFusedAggregate(const PlanNode& node, int total_slots) const;
   static bool TypedAggEligible(const PlanNode& node, const PipelineSpec& spec);
-
-  // Sequential operators, mirroring the row executor.
-  Result<Rows> RunFilter(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunNestedLoopJoin(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunHashJoinSequential(const PlanNode& node,
-                                     int total_slots) const;
-  Result<Rows> RunSort(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunTopN(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunLimit(const PlanNode& node, int total_slots) const;
-  Result<Rows> RunProject(const PlanNode& node, int total_slots) const;
-
-  static Status AccumulateRows(const PlanNode& node, const Rows& rows,
-                               GroupMap* groups);
-  static Rows FinalizeGroups(const PlanNode& node, const GroupMap& groups);
 
   void EnsurePool(int workers) const;
 
   const Catalog& catalog_;
   const ColumnStore& column_store_;
   int requested_workers_ = 0;
-  VecProbeMode probe_mode_ = VecProbeMode::kBatch;
   /// Lazily built, persists across Execute calls; rebuilt on size change.
   mutable std::unique_ptr<WorkerPool> pool_;
   /// Set only for the duration of an instrumented Execute call.

@@ -5,9 +5,10 @@
 // semantics.
 #include <gtest/gtest.h>
 
+#include "ap/ap_optimizer.h"
+#include "common/kernels.h"
 #include "common/string_util.h"
 #include "engine/htap_system.h"
-#include "common/kernels.h"
 #include "workload/query_generator.h"
 
 namespace htapex {
@@ -154,6 +155,58 @@ TEST_F(ExecutionPropertyTest, SiftedAndBushyPlansKeepRowVecParity) {
   }
   EXPECT_GT(sifted, 0) << "no star/chain query produced a sifted scan";
   EXPECT_GT(bushy, 0) << "no star/chain query produced a bushy join";
+}
+
+size_t SumActualRows(const ExecStats& stats) {
+  size_t sum = 0;
+  for (const auto& [node, rows] : stats.actual_rows) sum += rows;
+  return sum;
+}
+
+TEST_F(ExecutionPropertyTest, SiftKeepsResultsAndSavesRowsWhereItCan) {
+  // The sift invariants bench_optimizer's sifting-pays gate checks, held in
+  // Tier-1 over the sifted queries of the generated join mix: a sift never
+  // changes the result, and whenever the sift-disabled plan actually ran
+  // the scan the sift targets, the sifted plan moves strictly fewer rows.
+  // (An empty build side cuts off the whole probe subtree in both plans,
+  // so there the sift has nothing to save.)
+  ApCostParams sift_off;
+  sift_off.sift.enabled = false;
+  ApOptimizer on_opt(system_->catalog(), ApCostParams{});
+  ApOptimizer off_opt(system_->catalog(), sift_off);
+  const QueryPattern join_patterns[] = {
+      QueryPattern::kJoinSmall,        QueryPattern::kJoinLarge,
+      QueryPattern::kJoinFunctionPred, QueryPattern::kGroupByAggregate,
+      QueryPattern::kJoinStarChain,
+  };
+  int sifted = 0, compared = 0;
+  for (QueryPattern pattern : join_patterns) {
+    QueryGenerator gen(system_->config().stats_scale_factor,
+                       0x5171 ^ static_cast<uint64_t>(pattern));
+    for (int i = 0; i < 6; ++i) {
+      const std::string sql = gen.Generate(pattern).sql;
+      auto query = system_->Bind(sql);
+      ASSERT_TRUE(query.ok()) << sql;
+      auto on_plan = on_opt.Plan(*query);
+      auto off_plan = off_opt.Plan(*query);
+      ASSERT_TRUE(on_plan.ok() && off_plan.ok()) << sql;
+      if (!HasOp(*on_plan->root, PlanOp::kSiftedScan)) continue;
+      ++sifted;
+      ExecStats on_stats, off_stats;
+      auto on_res =
+          system_->ExecuteWithMode(ExecMode::kRow, *on_plan, *query, &on_stats);
+      auto off_res = system_->ExecuteWithMode(ExecMode::kRow, *off_plan,
+                                              *query, &off_stats);
+      ASSERT_TRUE(on_res.ok()) << sql << ": " << on_res.status();
+      ASSERT_TRUE(off_res.ok()) << sql << ": " << off_res.status();
+      EXPECT_EQ(on_res->Fingerprint(), off_res->Fingerprint()) << sql;
+      if (!RanSiftTargets(*on_plan->root, off_stats)) continue;
+      ++compared;
+      EXPECT_LT(SumActualRows(on_stats), SumActualRows(off_stats)) << sql;
+    }
+  }
+  EXPECT_GT(sifted, 0) << "the join mix produced no sifted plan";
+  EXPECT_GT(compared, 0) << "no sifted plan had a scan left to shrink";
 }
 
 TEST_F(ExecutionPropertyTest, SelectedQueriesReturnExpectedShapes) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -121,21 +123,27 @@ class VecExecutorTest : public ::testing::Test {
     ASSERT_TRUE(query.ok()) << sql << ": " << query.status();
     auto plans = system_->PlanBoth(*query);
     ASSERT_TRUE(plans.ok()) << sql;
+    ExpectPlanParity(sql, plans->ap, *query);
+  }
+
+  static void ExpectPlanParity(const std::string& label,
+                               const PhysicalPlan& plan,
+                               const BoundQuery& query) {
     ExecStats row_stats, vec_stats;
     auto row_res =
-        system_->ExecuteWithMode(ExecMode::kRow, plans->ap, *query, &row_stats);
-    auto vec_res = system_->ExecuteWithMode(ExecMode::kVectorized, plans->ap,
-                                            *query, &vec_stats);
-    ASSERT_TRUE(row_res.ok()) << sql << ": " << row_res.status();
-    ASSERT_TRUE(vec_res.ok()) << sql << ": " << vec_res.status();
-    EXPECT_EQ(row_res->Fingerprint(), vec_res->Fingerprint()) << sql;
+        system_->ExecuteWithMode(ExecMode::kRow, plan, query, &row_stats);
+    auto vec_res = system_->ExecuteWithMode(ExecMode::kVectorized, plan,
+                                            query, &vec_stats);
+    ASSERT_TRUE(row_res.ok()) << label << ": " << row_res.status();
+    ASSERT_TRUE(vec_res.ok()) << label << ": " << vec_res.status();
+    EXPECT_EQ(row_res->Fingerprint(), vec_res->Fingerprint()) << label;
     EXPECT_EQ(row_stats.actual_rows.size(), vec_stats.actual_rows.size())
-        << sql;
+        << label;
     for (const auto& [node, rows] : row_stats.actual_rows) {
       auto it = vec_stats.actual_rows.find(node);
       ASSERT_NE(it, vec_stats.actual_rows.end())
-          << sql << " missing stats for " << PlanOpName(node->op);
-      EXPECT_EQ(it->second, rows) << sql << " " << PlanOpName(node->op);
+          << label << " missing stats for " << PlanOpName(node->op);
+      EXPECT_EQ(it->second, rows) << label << " " << PlanOpName(node->op);
     }
   }
 
@@ -223,12 +231,11 @@ TEST_F(VecExecutorTest, SingleWorkerMatchesMultiWorker) {
   }
 }
 
-TEST_F(VecExecutorTest, ProbeModesAgreeAcrossWorkersAndBackends) {
+TEST_F(VecExecutorTest, BatchProbeAgreesAcrossWorkersAndBackends) {
   // The batch probe (flat JoinTable, gathered keys, late materialization)
-  // and the row-at-a-time baseline must both hold the row-oracle parity
-  // contract — at 1 and 3 workers and with SIMD kernels forced off (the
-  // scalar backend hashes through a different code path that must still be
-  // bit-identical to Value::Hash).
+  // must hold the row-oracle parity contract at 1 and 3 workers and with
+  // SIMD kernels forced off (the scalar backend hashes through a different
+  // code path that must still be bit-identical to Value::Hash).
   const char* queries[] = {
       "SELECT COUNT(*) FROM customer, orders WHERE o_custkey = c_custkey "
       "AND o_totalprice > 100000",
@@ -250,26 +257,188 @@ TEST_F(VecExecutorTest, ProbeModesAgreeAcrossWorkersAndBackends) {
   config.vec_workers = 1;
   ASSERT_TRUE(single.Init(config).ok());
   const kernels::Backend native = kernels::ActiveBackend();
-  for (VecProbeMode mode : {VecProbeMode::kBatch, VecProbeMode::kRowAtATime}) {
-    system_->vec_executor()->set_probe_mode(mode);
-    single.vec_executor()->set_probe_mode(mode);
-    for (const char* sql : queries) {
-      ExpectParity(sql);  // 3 workers
-      auto query = single.Bind(sql);
-      ASSERT_TRUE(query.ok()) << sql;
-      auto plans = single.PlanBoth(*query);
-      ASSERT_TRUE(plans.ok()) << sql;
-      auto row_res = single.ExecuteWithMode(ExecMode::kRow, plans->ap, *query);
-      auto vec_res =
-          single.ExecuteWithMode(ExecMode::kVectorized, plans->ap, *query);
-      ASSERT_TRUE(row_res.ok() && vec_res.ok()) << sql;
-      EXPECT_EQ(row_res->Fingerprint(), vec_res->Fingerprint()) << sql;
-    }
-    ASSERT_TRUE(kernels::ForceBackendForTest(kernels::Backend::kScalar));
-    for (const char* sql : queries) ExpectParity(sql);
-    ASSERT_TRUE(kernels::ForceBackendForTest(native));
+  for (const char* sql : queries) {
+    ExpectParity(sql);  // 3 workers
+    auto query = single.Bind(sql);
+    ASSERT_TRUE(query.ok()) << sql;
+    auto plans = single.PlanBoth(*query);
+    ASSERT_TRUE(plans.ok()) << sql;
+    auto row_res = single.ExecuteWithMode(ExecMode::kRow, plans->ap, *query);
+    auto vec_res =
+        single.ExecuteWithMode(ExecMode::kVectorized, plans->ap, *query);
+    ASSERT_TRUE(row_res.ok() && vec_res.ok()) << sql;
+    EXPECT_EQ(row_res->Fingerprint(), vec_res->Fingerprint()) << sql;
   }
-  system_->vec_executor()->set_probe_mode(VecProbeMode::kBatch);
+  ASSERT_TRUE(kernels::ForceBackendForTest(kernels::Backend::kScalar));
+  for (const char* sql : queries) ExpectParity(sql);
+  ASSERT_TRUE(kernels::ForceBackendForTest(native));
+}
+
+/// First node of `op` in `node`'s subtree (pre-order), or nullptr.
+PlanNode* FindOp(PlanNode* node, PlanOp op) {
+  if (node->op == op) return node;
+  for (auto& c : node->children) {
+    if (PlanNode* found = FindOp(c.get(), op)) return found;
+  }
+  return nullptr;
+}
+
+/// Interposes a Filter that takes over `*slot`'s predicates. The operator
+/// above then no longer sits on a scan pipeline, so the vectorized
+/// executor runs it on the shared sequential path; the result is the same.
+void InterposeFilter(std::unique_ptr<PlanNode>* slot) {
+  auto filter = std::make_unique<PlanNode>(PlanOp::kFilter);
+  filter->predicates = std::move((*slot)->predicates);
+  (*slot)->predicates.clear();
+  filter->children.push_back(std::move(*slot));
+  *slot = std::move(filter);
+}
+
+/// One parity case per shared sequential operator (row_ops.h) on the
+/// vectorized side: a plan that contains the operator, run by the row
+/// oracle and by the vectorized executor at 1 and 3 workers.
+class SharedOperatorParityTest : public VecExecutorTest {
+ protected:
+  struct Planned {
+    BoundQuery query;
+    PlanPair plans;
+  };
+
+  static void PlanQuery(const std::string& sql, Planned* out) {
+    auto query = system_->Bind(sql);
+    ASSERT_TRUE(query.ok()) << sql << ": " << query.status();
+    auto plans = system_->PlanBoth(*query);
+    ASSERT_TRUE(plans.ok()) << sql << ": " << plans.status();
+    out->query = std::move(*query);
+    out->plans = std::move(*plans);
+  }
+
+  /// Asserts that `op` occurs in the AP plan, then checks parity at 1 and
+  /// 3 workers.
+  static void ExpectOperatorParity(const std::string& label, const Planned& p,
+                                   PlanOp op) {
+    ASSERT_NE(FindOp(p.plans.ap.root.get(), op), nullptr)
+        << label << ": no " << PlanOpName(op) << " in\n"
+        << p.plans.ap.root->ToTreeString();
+    for (int workers : {1, 3}) {
+      system_->vec_executor()->set_num_workers(workers);
+      ExpectPlanParity(label + " @" + std::to_string(workers) + " workers",
+                       p.plans.ap, p.query);
+    }
+    system_->vec_executor()->set_num_workers(3);
+  }
+
+  static std::string RowFingerprint(const Planned& p) {
+    auto res = system_->ExecuteWithMode(ExecMode::kRow, p.plans.ap, p.query);
+    return res.ok() ? res->Fingerprint() : res.status().ToString();
+  }
+
+  /// Row-oracle fingerprint of the unedited plan for `sql`: an edited plan
+  /// must still compute the same result.
+  static std::string OracleFingerprint(const std::string& sql) {
+    Planned p;
+    PlanQuery(sql, &p);
+    return RowFingerprint(p);
+  }
+};
+
+TEST_F(SharedOperatorParityTest, Filter) {
+  // HAVING plans as a Filter over the aggregation's output.
+  Planned p;
+  PlanQuery(
+      "SELECT c_nationkey, COUNT(*) FROM customer GROUP BY c_nationkey "
+      "HAVING COUNT(*) > 120",
+      &p);
+  ExpectOperatorParity("filter", p, PlanOp::kFilter);
+}
+
+TEST_F(SharedOperatorParityTest, NestedLoopJoin) {
+  // The AP optimizer never emits a nested-loop join; turn its hash join
+  // into one (the keys become the loop's equality test).
+  const std::string sql =
+      "SELECT n_name, COUNT(*) FROM nation, customer "
+      "WHERE n_nationkey = c_nationkey AND c_acctbal > 9000 GROUP BY n_name";
+  Planned p;
+  PlanQuery(sql, &p);
+  PlanNode* join = FindOp(p.plans.ap.root.get(), PlanOp::kHashJoin);
+  ASSERT_NE(join, nullptr);
+  ASSERT_LT(join->sift_id, 0);
+  join->op = PlanOp::kNestedLoopJoin;
+  EXPECT_EQ(RowFingerprint(p), OracleFingerprint(sql));
+  ExpectOperatorParity("nested-loop join", p, PlanOp::kNestedLoopJoin);
+}
+
+TEST_F(SharedOperatorParityTest, HashJoinOffThePipeline) {
+  // A Filter between the join and its probe scan: the probe spine is no
+  // longer a pipeline, so the vectorized executor runs the shared hash join.
+  const std::string sql =
+      "SELECT COUNT(*) FROM customer, orders WHERE o_custkey = c_custkey "
+      "AND o_totalprice > 100000";
+  Planned p;
+  PlanQuery(sql, &p);
+  PlanNode* join = FindOp(p.plans.ap.root.get(), PlanOp::kHashJoin);
+  ASSERT_NE(join, nullptr);
+  InterposeFilter(&join->children[0]);
+  ASSERT_EQ(join->children[0]->op, PlanOp::kFilter);
+  EXPECT_EQ(RowFingerprint(p), OracleFingerprint(sql));
+  ExpectOperatorParity("sequential hash join", p, PlanOp::kHashJoin);
+}
+
+TEST_F(SharedOperatorParityTest, Sort) {
+  // Ties on the sort key: both executors must keep input order.
+  Planned p;
+  PlanQuery("SELECT n_name, n_regionkey FROM nation ORDER BY n_regionkey",
+            &p);
+  ExpectOperatorParity("sort", p, PlanOp::kSort);
+}
+
+TEST_F(SharedOperatorParityTest, TopNWithAndWithoutLimit) {
+  const std::string sql =
+      "SELECT o_orderkey, o_orderstatus FROM orders "
+      "ORDER BY o_orderstatus LIMIT 10 OFFSET 3";
+  Planned p;
+  PlanQuery(sql, &p);
+  ExpectOperatorParity("top-n", p, PlanOp::kTopN);
+  // Without a limit the Top-N degenerates to a full sort plus the offset.
+  PlanNode* topn = FindOp(p.plans.ap.root.get(), PlanOp::kTopN);
+  ASSERT_NE(topn, nullptr);
+  topn->limit = -1;
+  ExpectOperatorParity("top-n without limit", p, PlanOp::kTopN);
+}
+
+TEST_F(SharedOperatorParityTest, Limit) {
+  // No ORDER BY: the window is taken in scan order, which the morsel merge
+  // preserves.
+  Planned p;
+  PlanQuery(
+      "SELECT o_orderkey FROM orders WHERE o_totalprice > 100000 "
+      "LIMIT 7 OFFSET 5",
+      &p);
+  ExpectOperatorParity("limit", p, PlanOp::kLimit);
+}
+
+TEST_F(SharedOperatorParityTest, Project) {
+  Planned p;
+  PlanQuery(
+      "SELECT o_orderkey, o_totalprice * 2 FROM orders "
+      "WHERE o_orderkey < 50",
+      &p);
+  ExpectOperatorParity("project", p, PlanOp::kProject);
+}
+
+TEST_F(SharedOperatorParityTest, AggregateOffThePipeline) {
+  // A Filter between the aggregate and its scan: the aggregate no longer
+  // fuses into a morsel pipeline and runs rowops' sequential aggregation.
+  const std::string sql =
+      "SELECT o_orderstatus, COUNT(*), SUM(o_totalprice) FROM orders "
+      "WHERE o_totalprice > 50000 GROUP BY o_orderstatus";
+  Planned p;
+  PlanQuery(sql, &p);
+  PlanNode* agg = FindOp(p.plans.ap.root.get(), PlanOp::kHashAggregate);
+  ASSERT_NE(agg, nullptr);
+  InterposeFilter(&agg->children[0]);
+  EXPECT_EQ(RowFingerprint(p), OracleFingerprint(sql));
+  ExpectOperatorParity("sequential aggregate", p, PlanOp::kHashAggregate);
 }
 
 TEST_F(VecExecutorTest, VectorizedRejectsTpPlans) {
