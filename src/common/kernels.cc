@@ -27,13 +27,22 @@ namespace {
 // (modulo FMA rounding); the unit tests hold that contract.
 // ---------------------------------------------------------------------------
 
-float SquaredL2Scalar(const float* a, const float* b, int n) {
+inline float SquaredL2Scalar(const float* a, const float* b, int n) {
   float acc = 0.0f;
   for (int i = 0; i < n; ++i) {
     float d = a[i] - b[i];
     acc += d * d;
   }
   return acc;
+}
+
+// Each backend's batch loop inlines that backend's own per-row routine, so
+// every distance is bit-identical to the single-pair kernel.
+void SquaredL2BatchScalar(const float* q, const float* rows, int count,
+                          int dim, float* out) {
+  for (int r = 0; r < count; ++r) {
+    out[r] = SquaredL2Scalar(q, rows + static_cast<size_t>(r) * dim, dim);
+  }
 }
 
 void GemmAccumScalar(const float* a, const float* b, float* c, int m, int k,
@@ -191,9 +200,8 @@ uint64_t HashBytesScalar(const void* data, size_t len) {
 
 #if HTAPEX_KERNELS_X86
 
-__attribute__((target("avx2,fma"))) float SquaredL2Avx2(const float* a,
-                                                        const float* b,
-                                                        int n) {
+__attribute__((target("avx2,fma"))) inline float SquaredL2Avx2(
+    const float* a, const float* b, int n) {
   __m256 acc0 = _mm256_setzero_ps();
   __m256 acc1 = _mm256_setzero_ps();
   int i = 0;
@@ -220,6 +228,13 @@ __attribute__((target("avx2,fma"))) float SquaredL2Avx2(const float* a,
     acc += d * d;
   }
   return acc;
+}
+
+__attribute__((target("avx2,fma"))) void SquaredL2BatchAvx2(
+    const float* q, const float* rows, int count, int dim, float* out) {
+  for (int r = 0; r < count; ++r) {
+    out[r] = SquaredL2Avx2(q, rows + static_cast<size_t>(r) * dim, dim);
+  }
 }
 
 __attribute__((target("avx2,fma"))) void GemmAccumAvx2(const float* a,
@@ -636,7 +651,7 @@ __attribute__((target("avx2"))) void HashI64Avx2(const int64_t* a,
 
 #if HTAPEX_KERNELS_NEON
 
-float SquaredL2Neon(const float* a, const float* b, int n) {
+inline float SquaredL2Neon(const float* a, const float* b, int n) {
   float32x4_t acc0 = vdupq_n_f32(0.0f);
   float32x4_t acc1 = vdupq_n_f32(0.0f);
   int i = 0;
@@ -656,6 +671,13 @@ float SquaredL2Neon(const float* a, const float* b, int n) {
     acc += d * d;
   }
   return acc;
+}
+
+void SquaredL2BatchNeon(const float* q, const float* rows, int count, int dim,
+                        float* out) {
+  for (int r = 0; r < count; ++r) {
+    out[r] = SquaredL2Neon(q, rows + static_cast<size_t>(r) * dim, dim);
+  }
 }
 
 void GemmAccumNeon(const float* a, const float* b, float* c, int m, int k,
@@ -779,6 +801,8 @@ void MaxAccumNeon(float* acc, const float* x, int n) {
 struct DispatchTable {
   Backend backend = Backend::kScalar;
   float (*squared_l2)(const float*, const float*, int) = SquaredL2Scalar;
+  void (*squared_l2_batch)(const float*, const float*, int, int, float*) =
+      SquaredL2BatchScalar;
   void (*gemm)(const float*, const float*, float*, int, int, int) =
       GemmAccumScalar;
   void (*axpy)(float, const float*, float*, int) = AxpyScalar;
@@ -833,6 +857,7 @@ DispatchTable MakeTable(Backend backend) {
     case Backend::kAvx2:
       t.backend = Backend::kAvx2;
       t.squared_l2 = SquaredL2Avx2;
+      t.squared_l2_batch = SquaredL2BatchAvx2;
       t.gemm = GemmAccumAvx2;
       t.axpy = AxpyAvx2;
       t.relu = ReluAvx2;
@@ -853,6 +878,7 @@ DispatchTable MakeTable(Backend backend) {
     case Backend::kNeon:
       t.backend = Backend::kNeon;
       t.squared_l2 = SquaredL2Neon;
+      t.squared_l2_batch = SquaredL2BatchNeon;
       t.gemm = GemmAccumNeon;
       t.axpy = AxpyNeon;
       t.relu = ReluNeon;
@@ -952,6 +978,13 @@ bool ForceBackendForTest(Backend backend) {
 float SquaredL2(const float* a, const float* b, int n) {
   Counters().squared_l2.fetch_add(1, std::memory_order_relaxed);
   return Table().squared_l2(a, b, n);
+}
+
+void SquaredL2Batch(const float* q, const float* rows, int count, int dim,
+                    float* out) {
+  Counters().squared_l2.fetch_add(static_cast<uint64_t>(count),
+                                  std::memory_order_relaxed);
+  Table().squared_l2_batch(q, rows, count, dim, out);
 }
 
 void GemmAccum(const float* a, const float* b, float* c, int m, int k,

@@ -48,6 +48,12 @@ bool ForceBackendForTest(Backend backend);
 /// Squared L2 distance between two float32 vectors of length n.
 float SquaredL2(const float* a, const float* b, int n);
 
+/// out[r] = SquaredL2(q, rows + r * dim, dim) for r in [0, count): one
+/// dispatch for a whole row-major slab. Each distance is bit-identical to
+/// the single-pair kernel on the same backend.
+void SquaredL2Batch(const float* q, const float* rows, int count, int dim,
+                    float* out);
+
 /// C[m x n] += A[m x k] * B[k x n], all row-major. The workhorse behind the
 /// frozen tree-CNN conv layers: all nodes of a layer go through one blocked
 /// GEMM instead of per-node branchy matvecs.
@@ -128,6 +134,8 @@ uint64_t HashBytes(const void* data, size_t len);
 /// Per-kernel invocation counters (relaxed atomics, process-wide), exported
 /// into the Prometheus exposition next to the dispatch gauge so an operator
 /// can see both which backend is live and how hot each kernel runs.
+/// `squared_l2` counts distances, not calls: SquaredL2 adds one and
+/// SquaredL2Batch adds its row count.
 struct KernelStats {
   Backend backend = Backend::kScalar;
   uint64_t squared_l2 = 0;

@@ -394,6 +394,10 @@ Result<ExplainResult> HtapExplainer::Explain(const std::string& sql,
 }
 
 Status HtapExplainer::IncorporateCorrection(const ExplainResult& result) {
+  return InsertWithRetry(CorrectionEntry(result));
+}
+
+KbEntry HtapExplainer::CorrectionEntry(const ExplainResult& result) {
   KbEntry entry;
   entry.sql = result.outcome.sql;
   entry.embedding = result.embedding;
@@ -404,7 +408,7 @@ Status HtapExplainer::IncorporateCorrection(const ExplainResult& result) {
   entry.ap_latency_ms = result.outcome.ap_latency_ms;
   // The expert's corrected explanation replaces the model's output.
   entry.expert_explanation = result.truth.explanation;
-  return InsertWithRetry(std::move(entry));
+  return entry;
 }
 
 std::string HtapExplainer::AnswerFollowUp(const ExplainResult& result,

@@ -211,8 +211,19 @@ class HtapExplainer {
   /// The expert feedback loop: after a non-accurate explanation, the expert
   /// corrects it and the corrected entry joins the knowledge base for
   /// future retrieval (Section III-B). Transient (fault-injected) KB write
-  /// failures are retried a bounded number of times.
+  /// failures are retried a bounded number of times. Equivalent to
+  /// InsertWithRetry(CorrectionEntry(result)).
   Status IncorporateCorrection(const ExplainResult& result);
+
+  /// The knowledge-base entry a correction inserts: the result's SQL,
+  /// embedding, rendered plan pair and measured outcome, with the expert's
+  /// explanation in place of the model's. Pure (touches no explainer
+  /// state), so callers can render it outside the knowledge-base lock.
+  static KbEntry CorrectionEntry(const ExplainResult& result);
+
+  /// Knowledge-base insert with bounded retries on injected transient
+  /// write faults. Concurrent callers hold the exclusive lock.
+  Status InsertWithRetry(KbEntry entry);
 
   /// Replaces the active fault spec and rebuilds the resilient LLM
   /// wrappers (fresh breakers, zeroed resilience counters). NOT
@@ -253,8 +264,6 @@ class HtapExplainer {
   /// primary follows config_.use_rag; fallback is the DBG-PT baseline
   /// (null when the primary already is the baseline).
   void RebuildResilientLlms();
-  /// KB insert with bounded retries on injected transient write faults.
-  Status InsertWithRetry(KbEntry entry);
 
   const HtapSystem* system_;
   ExplainerConfig config_;

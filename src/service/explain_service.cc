@@ -425,10 +425,13 @@ std::vector<std::shared_ptr<const Trace>> ExplainService::RecentTraces()
 
 Status ExplainService::IncorporateCorrection(const ExplainResult& result) {
   WallTimer timer;
+  // Rendering the plan pair (~150 µs) is read-only, so it happens before
+  // the exclusive lock that stalls every retrieval.
+  KbEntry entry = HtapExplainer::CorrectionEntry(result);
   Status status;
   {
     std::unique_lock<std::shared_mutex> kb_lock(kb_mutex_);
-    status = explainer_->IncorporateCorrection(result);
+    status = explainer_->InsertWithRetry(std::move(entry));
   }
   if (status.ok()) {
     metrics_.kb_inserts.Inc();
@@ -599,7 +602,8 @@ std::string ExplainService::ExpositionText() const {
   b.Gauge("htapex_kernel_backend",
           "Active compute-kernel dispatch backend (constant 1)", 1.0,
           {{"backend", kernels::BackendName(k.backend)}});
-  const char* kKernelHelp = "Compute-kernel invocations by kernel";
+  const char* kKernelHelp =
+      "Compute-kernel operations by kernel (squared_l2 counts distances)";
   b.Counter("htapex_kernel_ops_total", kKernelHelp, k.squared_l2,
             {{"kernel", "squared_l2"}});
   b.Counter("htapex_kernel_ops_total", kKernelHelp, k.gemm,

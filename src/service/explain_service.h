@@ -90,9 +90,9 @@ struct ServiceConfig {
 ///    on the knowledge base, so any number of explanations proceed
 ///    concurrently.
 ///  - IncorporateCorrection (the expert feedback loop, which inserts into
-///    KnowledgeBase and its HNSW index) takes the *exclusive* lock; it
-///    waits for in-flight searches and blocks new ones only for the
-///    duration of one insert.
+///    KnowledgeBase and its HNSW index) renders the new entry first, then
+///    takes the *exclusive* lock; it waits for in-flight searches and
+///    blocks new ones only for the duration of one insert.
 ///
 /// Results for near-duplicate plan pairs are served from a sharded LRU
 /// cache keyed by quantized embeddings (see ShardedExplainCache); a hit

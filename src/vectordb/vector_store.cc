@@ -1,6 +1,7 @@
 #include "vectordb/vector_store.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/kernels.h"
 
@@ -42,31 +43,55 @@ Status VectorStore::Remove(int id) {
 std::vector<SearchHit> VectorStore::Search(const std::vector<double>& query,
                                            int k) const {
   // The distance kernel walks the query's length, so a wrong-dimension
-  // query would read out of bounds on every stored vector; k <= 0 would
-  // wrap in the final resize.
-  if (static_cast<int>(query.size()) != dim_ || k <= 0) return {};
-  // Narrow the query once; scratch comes from the thread arena so the
-  // steady-state scan allocates nothing beyond the result vector.
+  // query would read out of bounds on every stored vector.
+  if (static_cast<int>(query.size()) != dim_ || k <= 0 || size_ == 0) {
+    return {};
+  }
+  // Scratch comes from the thread arena, so the steady-state scan
+  // allocates nothing beyond the result vector.
   kernels::Arena& arena = kernels::ThreadArena();
   arena.Reset();
   float* q = arena.AllocFloats(query.size());
   for (size_t i = 0; i < query.size(); ++i) {
     q[i] = static_cast<float>(query[i]);
   }
-  std::vector<SearchHit> hits;
-  hits.reserve(size_);
-  const size_t count = removed_.size();
-  for (size_t i = 0; i < count; ++i) {
-    if (removed_[i]) continue;
-    const float* row = slab_.data() + i * static_cast<size_t>(dim_);
-    hits.push_back(SearchHit{
-        static_cast<int>(i),
-        static_cast<double>(kernels::SquaredL2(q, row, dim_))});
+  // One kernel call for every stored row (tombstones included; they are
+  // skipped below).
+  const int count = static_cast<int>(removed_.size());
+  float* dist = arena.AllocFloats(static_cast<size_t>(count));
+  kernels::SquaredL2Batch(q, slab_.data(), count, dim_, dist);
+
+  // Bounded top-k over (distance, id) packed into one key: a squared
+  // distance is >= +0, and non-negative floats order like their bit
+  // patterns, so the key orders like the pair (a NaN distance packs above
+  // every number and ranks last). `best` is a max-heap of the k smallest
+  // keys so far; a row costs one comparison unless it beats the worst of
+  // them, and log k moves when it does, so k near n stays O(n log n).
+  const size_t cap = std::min(static_cast<size_t>(k), size_);
+  uint64_t* best = arena.AllocU64s(cap);
+  size_t filled = 0;
+  for (int i = 0; i < count; ++i) {
+    if (removed_[static_cast<size_t>(i)]) continue;
+    uint32_t bits;
+    std::memcpy(&bits, &dist[i], sizeof(bits));
+    const uint64_t key =
+        (static_cast<uint64_t>(bits) << 32) | static_cast<uint32_t>(i);
+    if (filled < cap) {
+      best[filled++] = key;
+      std::push_heap(best, best + filled);
+    } else if (key < best[0]) {
+      std::pop_heap(best, best + cap);
+      best[cap - 1] = key;
+      std::push_heap(best, best + cap);
+    }
   }
-  std::sort(hits.begin(), hits.end(), [](const SearchHit& a, const SearchHit& b) {
-    return a.distance < b.distance || (a.distance == b.distance && a.id < b.id);
-  });
-  if (static_cast<int>(hits.size()) > k) hits.resize(static_cast<size_t>(k));
+  // Heap-sort the k survivors into ascending key order.
+  for (size_t n = filled; n > 1; --n) std::pop_heap(best, best + n);
+  std::vector<SearchHit> hits(filled);
+  for (size_t j = 0; j < filled; ++j) {
+    const int id = static_cast<int>(best[j] & 0xffffffffu);
+    hits[j] = SearchHit{id, static_cast<double>(dist[id])};
+  }
   return hits;
 }
 

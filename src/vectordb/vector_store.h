@@ -19,15 +19,18 @@ struct SearchHit {
 /// parity-checked against, so it stays exactly as-is.
 double SquaredL2(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Exact brute-force kNN store. The paper's knowledge base holds only ~20
-/// vectors, where exact search is measured in microseconds; the HNSW index
-/// (hnsw.h) covers the growth scenario discussed in Section VI-B.
+/// Exact brute-force kNN store, the knowledge base's default index. The
+/// knowledge base starts at the paper's ~20 entries and grows with every
+/// expert correction; the HNSW index (hnsw.h) is the approximate option for
+/// the growth scenario discussed in Section VI-B.
 ///
-/// Vectors live in one contiguous float32 slab (id-ordered rows) so the
-/// scan is a straight run of `kernels::SquaredL2` over sequential memory —
-/// no per-vector indirection, SIMD-friendly. Inputs stay double at the API
-/// (the rest of the system computes embeddings in double); they are
-/// narrowed once on Add.
+/// Vectors live in one contiguous float32 slab (id-ordered rows). A search
+/// makes one `kernels::SquaredL2Batch` call over the whole slab and keeps
+/// the k best hits in a bounded heap, so it costs one dispatch and, for
+/// the small k retrieval uses, about one comparison per row rather than a
+/// sort of every row.
+/// Inputs stay double at the API (the rest of the system computes
+/// embeddings in double); they are narrowed once on Add.
 class VectorStore {
  public:
   explicit VectorStore(int dim) : dim_(dim) {}
@@ -41,8 +44,9 @@ class VectorStore {
   /// Tombstones an id (removed from future searches).
   Status Remove(int id);
 
-  /// k nearest neighbours by squared L2, ascending distance. Returns empty
-  /// for a wrong-dimension query or non-positive k.
+  /// k nearest neighbours by squared L2, ascending by (distance, id), so
+  /// ties break on the lower id. Returns empty for a wrong-dimension query
+  /// or non-positive k.
   std::vector<SearchHit> Search(const std::vector<double>& query, int k) const;
 
   /// The stored float32 row for a live id, nullptr otherwise.

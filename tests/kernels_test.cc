@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -84,6 +85,48 @@ TEST_F(KernelsTest, SquaredL2MatchesReferenceOnEveryBackend) {
             << BackendName(backend) << " n=" << n << " off=" << off;
       }
     }
+  }
+}
+
+/// Bit pattern of a float, so equality below is exact (no NaN or -0
+/// special cases).
+uint32_t Bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+TEST_F(KernelsTest, SquaredL2BatchIsBitIdenticalToPerRowOnEveryBackend) {
+  Rng rng(19);
+  const int count = 13;
+  for (Backend backend : SupportedBackends()) {
+    ASSERT_TRUE(ForceBackendForTest(backend));
+    for (int dim : {1, 7, 8, 15, 16, 17, 37}) {
+      // +1 slack so the offset-by-one (unaligned) views stay in bounds.
+      std::vector<float> q = RandomVec(&rng, dim + 1);
+      std::vector<float> slab = RandomVec(&rng, count * dim + 1);
+      for (int off : {0, 1}) {
+        const float* pq = q.data() + off;
+        const float* rows = slab.data() + off;
+        std::vector<float> out(count, kNan);
+        KernelStats before = Stats();
+        SquaredL2Batch(pq, rows, count, dim, out.data());
+        EXPECT_EQ(Stats().squared_l2, before.squared_l2 + count);
+        for (int r = 0; r < count; ++r) {
+          float single = SquaredL2(pq, rows + r * dim, dim);
+          EXPECT_EQ(Bits(out[static_cast<size_t>(r)]), Bits(single))
+              << BackendName(backend) << " dim=" << dim << " off=" << off
+              << " row=" << r;
+        }
+      }
+    }
+    // count == 0 writes nothing and counts nothing.
+    float sentinel = kNan;
+    std::vector<float> q = RandomVec(&rng, 8);
+    KernelStats before = Stats();
+    SquaredL2Batch(q.data(), q.data(), 0, 8, &sentinel);
+    EXPECT_EQ(Stats().squared_l2, before.squared_l2);
+    EXPECT_EQ(Bits(sentinel), Bits(kNan)) << BackendName(backend);
   }
 }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "common/kernels.h"
 #include "common/rng.h"
 #include "vectordb/hnsw.h"
 #include "vectordb/knowledge_base.h"
@@ -297,6 +299,103 @@ TEST(KnowledgeBaseTest, HnswModeAgreesWithExact) {
     if (a[0]->sql == b[0]->sql) ++agree;
   }
   EXPECT_GE(agree, 18);  // HNSW is approximate but should rarely differ
+}
+
+/// Full-sort oracle for exact search: every live row's distance from the
+/// same float32 kernel the store uses, sorted by (distance, id), cut to k.
+std::vector<SearchHit> OracleSearch(const VectorStore& store, int rows,
+                                    const std::vector<double>& query, int k) {
+  std::vector<float> q(query.begin(), query.end());
+  std::vector<SearchHit> all;
+  for (int id = 0; id < rows; ++id) {
+    const float* row = store.Get(id);
+    if (row == nullptr) continue;
+    all.push_back(SearchHit{
+        id, static_cast<double>(kernels::SquaredL2(q.data(), row, store.dim()))});
+  }
+  std::sort(all.begin(), all.end(), [](const SearchHit& a, const SearchHit& b) {
+    return a.distance < b.distance || (a.distance == b.distance && a.id < b.id);
+  });
+  if (static_cast<int>(all.size()) > k) all.resize(static_cast<size_t>(k));
+  return all;
+}
+
+/// Exact search against the full-sort oracle on a KB-sized store full of
+/// ties: coordinates sit on a coarse grid and one row in nine duplicates an
+/// earlier one (as corrections re-insert a known plan pair), so equal
+/// distances are common and must break on id. Tombstones land between
+/// rounds; k runs past the live count. Checked on the startup backend and
+/// on scalar.
+TEST(VectorStoreTest, ExactSearchMatchesFullSortOracle) {
+  const int dim = 16, rows = 4500;
+  Rng rng(29);
+  std::vector<std::vector<double>> vecs;
+  VectorStore store(dim);
+  KnowledgeBase kb(dim, KnowledgeBase::IndexMode::kExact);
+  for (int i = 0; i < rows; ++i) {
+    std::vector<double> v(dim);
+    if (i > 0 && i % 9 == 0) {
+      v = vecs[static_cast<size_t>(rng.Uniform(0, i - 1))];
+    } else {
+      for (double& x : v) x = static_cast<double>(rng.Uniform(-3, 3)) * 0.25;
+    }
+    ASSERT_TRUE(store.Add(v).ok());
+    ASSERT_TRUE(kb.Insert(MakeEntry(v, "q" + std::to_string(i),
+                                    EngineKind::kAp)).ok());
+    vecs.push_back(std::move(v));
+  }
+  std::vector<std::vector<double>> queries;
+  for (int i = 0; i < 30; ++i) {  // stored rows (distance-0 ties) ...
+    queries.push_back(vecs[static_cast<size_t>(rng.Uniform(0, rows - 1))]);
+  }
+  for (int i = 0; i < 30; ++i) {  // ... and off-grid points
+    std::vector<double> v(dim);
+    for (double& x : v) x = rng.UniformReal(-1, 1);
+    queries.push_back(std::move(v));
+  }
+
+  const kernels::Backend startup = kernels::ActiveBackend();
+  for (int round = 0; round < 3; ++round) {
+    if (round > 0) {  // tombstone a fresh slice of ids
+      for (int id = round; id < rows; id += 5 + round) {
+        if (store.Get(id) == nullptr) continue;
+        ASSERT_TRUE(store.Remove(id).ok());
+        ASSERT_TRUE(kb.Expire(id).ok());
+      }
+    }
+    const int live = static_cast<int>(store.size());
+    for (kernels::Backend backend : {startup, kernels::Backend::kScalar}) {
+      ASSERT_TRUE(kernels::ForceBackendForTest(backend));
+      for (const auto& q : queries) {
+        for (int k : {1, 2, 5, live + 3}) {
+          std::vector<SearchHit> want = OracleSearch(store, rows, q, k);
+          std::vector<SearchHit> got = store.Search(q, k);
+          std::vector<int> want_ids, got_ids, kb_ids;
+          std::vector<double> want_dist, got_dist;
+          for (const SearchHit& h : want) {
+            want_ids.push_back(h.id);
+            want_dist.push_back(h.distance);
+          }
+          for (const SearchHit& h : got) {
+            got_ids.push_back(h.id);
+            got_dist.push_back(h.distance);
+          }
+          for (const KbEntry* e : kb.Retrieve(q, k)) kb_ids.push_back(e->id);
+          ASSERT_EQ(got_ids, want_ids) << "k=" << k;
+          ASSERT_EQ(got_dist, want_dist) << "k=" << k;
+          ASSERT_EQ(kb_ids, want_ids) << "k=" << k;
+          ASSERT_TRUE(std::is_sorted(
+              got.begin(), got.end(),
+              [](const SearchHit& a, const SearchHit& b) {
+                return a.distance < b.distance ||
+                       (a.distance == b.distance && a.id < b.id);
+              }))
+              << "k=" << k;
+        }
+      }
+    }
+    ASSERT_TRUE(kernels::ForceBackendForTest(startup));
+  }
 }
 
 }  // namespace
