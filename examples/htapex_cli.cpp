@@ -307,24 +307,8 @@ int RunServeSharded(const HtapSystem* system, const ExplainerConfig& ec,
 /// renders the explainer-side counters and the traces ExplainOne recorded.
 std::string InteractiveMetricsText(const HtapExplainer& explainer) {
   ExpositionBuilder b;
-  ResilienceStats r = explainer.ResilienceSnapshot();
-  b.Counter("htapex_llm_attempts_total", "Simulated-LLM call attempts",
-            r.llm_attempts);
-  b.Counter("htapex_llm_retries_total", "Attempts beyond the first",
-            r.llm_retries);
-  b.Counter("htapex_breaker_short_circuits_total",
-            "Calls rejected while a breaker was open",
-            r.breaker_short_circuits);
-  TraceMetrics::Stats t = g_trace_metrics.Snap();
-  b.Counter("htapex_traces_recorded_total", "Completed request traces",
-            t.traces);
-  b.Counter("htapex_slow_traces_total",
-            "Traces above the --trace-log threshold", t.slow_traces);
-  const char* kSpanHelp = "Per-span latency summaries from request traces";
-  for (const TraceMetrics::SpanStat& span : t.spans) {
-    b.Summary("htapex_span_latency_ms", kSpanHelp, span.hist,
-              {{"span", span.name}});
-  }
+  b.Fields<ResilienceStats>(explainer.ResilienceSnapshot());
+  b.Traces(g_trace_metrics.Snap());
   return b.Text();
 }
 

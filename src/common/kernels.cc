@@ -436,7 +436,7 @@ __attribute__((target("avx2"))) void MaskCmpI64Avx2(const int64_t* a,
   int i = 0;
   for (; i + 4 <= n; i += 4) {
     __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i m;
+    __m256i m = _mm256_setzero_si256();
     switch (op) {
       case MaskCmpOp::kEq:
         m = _mm256_cmpeq_epi64(v, litv);

@@ -233,7 +233,7 @@ class HtapExplainer {
 
   /// Point-in-time copy of the resilience counters.
   ResilienceStats ResilienceSnapshot() const {
-    return SnapshotResilience(resilience_metrics_);
+    return SnapshotOf<ResilienceStats>(resilience_metrics_);
   }
   const FaultInjector& faults() const { return faults_; }
   /// Breaker state of the primary (RAG) dependency.

@@ -104,7 +104,7 @@ class DurableKnowledgeBase : public KbMutationSink {
   Status Snapshot();
 
   DurabilityStats StatsSnapshot() const {
-    return SnapshotDurability(metrics_);
+    return SnapshotOf<DurabilityStats>(metrics_);
   }
   DurabilityMetrics* metrics() { return &metrics_; }
   const DurabilityOptions& options() const { return options_; }

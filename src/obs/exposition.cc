@@ -107,6 +107,45 @@ void ExpositionBuilder::Summary(const std::string& name,
 
 namespace {
 
+ExpositionLabels LabelsOf(const MetricField& field) {
+  if (field.label == nullptr) return {};
+  return {{field.label, field.value}};
+}
+
+}  // namespace
+
+void ExpositionBuilder::Add(const MetricField& field, uint64_t value) {
+  if (field.family == nullptr) return;
+  if (field.gauge) {
+    Gauge(field.family, field.help, static_cast<double>(value),
+          LabelsOf(field));
+  } else {
+    Counter(field.family, field.help, value, LabelsOf(field));
+  }
+}
+
+void ExpositionBuilder::Add(const MetricField& field,
+                            const LatencyHistogram::Snapshot& snap) {
+  if (field.family == nullptr) return;
+  Summary(field.family, field.help, snap, LabelsOf(field));
+}
+
+void ExpositionBuilder::Traces(const TraceMetrics::Stats& t) {
+  Counter("htapex_traces_recorded_total", "Completed request traces",
+          t.traces);
+  Counter("htapex_slow_traces_total",
+          "Traces above the slow-request threshold", t.slow_traces);
+  Counter("htapex_unknown_spans_total",
+          "Spans recorded outside the canonical taxonomy", t.unknown_spans);
+  for (const TraceMetrics::SpanStat& span : t.spans) {
+    Summary("htapex_span_latency_ms",
+            "Per-span latency summaries from request traces", span.hist,
+            {{"span", span.name}});
+  }
+}
+
+namespace {
+
 /// Family of a sample name: strips the summary/histogram suffixes so
 /// `htapex_span_latency_ms_count` resolves to `htapex_span_latency_ms`.
 std::string FamilyOf(const std::string& name,

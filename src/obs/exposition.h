@@ -8,6 +8,7 @@
 
 #include "common/result.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace htapex {
 
@@ -36,6 +37,20 @@ class ExpositionBuilder {
   void Summary(const std::string& name, const std::string& help,
                const LatencyHistogram::Snapshot& snap,
                const ExpositionLabels& labels = {});
+  /// Every exposed field of one metric group (see MetricField in
+  /// obs/metrics.h): uint64_t fields as counters or gauges, histogram
+  /// snapshots as summaries. Unexposed fields are skipped.
+  template <typename Group, typename Stats>
+  void Fields(const Stats& stats) {
+    Group::Fields([this](const MetricField& f, const auto& v) { Add(f, v); },
+                  stats);
+  }
+  /// The trace counters and the per-span latency summaries.
+  void Traces(const TraceMetrics::Stats& traces);
+  /// One field: a counter (or gauge) sample, or a summary. No-op for a
+  /// field without a family.
+  void Add(const MetricField& field, uint64_t value);
+  void Add(const MetricField& field, const LatencyHistogram::Snapshot& snap);
 
   const std::string& Text() const { return out_; }
 

@@ -39,6 +39,21 @@ double QuantileFromBuckets(
   return BucketUpperMs(LatencyHistogram::kNumBuckets - 1);
 }
 
+/// Sets p50/p95/p99 from the buckets. Bucket interpolation can overshoot
+/// the largest observed sample (the estimate lands anywhere inside the
+/// containing bucket), so quantiles clamp to the exact [min, max] tracked
+/// alongside the buckets.
+void FillQuantiles(LatencyHistogram::Snapshot* s) {
+  auto clamped = [s](double q) {
+    return std::min(std::max(QuantileFromBuckets(s->buckets, s->count, q),
+                             s->min_ms),
+                    s->max_ms);
+  };
+  s->p50_ms = clamped(0.50);
+  s->p95_ms = clamped(0.95);
+  s->p99_ms = clamped(0.99);
+}
+
 uint64_t ToNanos(double ms) {
   if (ms <= 0.0) return 0;
   return static_cast<uint64_t>(std::llround(ms * 1e6));
@@ -86,17 +101,7 @@ LatencyHistogram::Snapshot LatencyHistogram::Snap() const {
   uint64_t mn = min_ns_.load(std::memory_order_relaxed);
   s.min_ms = (mn == UINT64_MAX) ? 0.0 : ToMillis(mn);
   s.max_ms = ToMillis(max_ns_.load(std::memory_order_relaxed));
-  // Bucket interpolation can overshoot the largest observed sample (the
-  // estimate lands anywhere inside the containing bucket), so clamp
-  // quantiles to the exact [min, max] tracked alongside the buckets.
-  auto clamped = [&s](double q) {
-    return std::min(std::max(QuantileFromBuckets(s.buckets, s.count, q),
-                             s.min_ms),
-                    s.max_ms);
-  };
-  s.p50_ms = clamped(0.50);
-  s.p95_ms = clamped(0.95);
-  s.p99_ms = clamped(0.99);
+  FillQuantiles(&s);
   return s;
 }
 
@@ -115,34 +120,8 @@ LatencyHistogram::Snapshot LatencyHistogram::Merge(const Snapshot& a,
     m.buckets[static_cast<size_t>(i)] =
         a.buckets[static_cast<size_t>(i)] + b.buckets[static_cast<size_t>(i)];
   }
-  auto clamped = [&m](double q) {
-    return std::min(
-        std::max(QuantileFromBuckets(m.buckets, m.count, q), m.min_ms),
-        m.max_ms);
-  };
-  m.p50_ms = clamped(0.50);
-  m.p95_ms = clamped(0.95);
-  m.p99_ms = clamped(0.99);
+  FillQuantiles(&m);
   return m;
-}
-
-ResilienceStats SnapshotResilience(const ResilienceMetrics& metrics) {
-  ResilienceStats s;
-  s.llm_attempts = metrics.llm_attempts.Value();
-  s.llm_retries = metrics.llm_retries.Value();
-  s.llm_timeouts = metrics.llm_timeouts.Value();
-  s.llm_transient_errors = metrics.llm_transient_errors.Value();
-  s.llm_garbled = metrics.llm_garbled.Value();
-  s.llm_slow = metrics.llm_slow.Value();
-  s.budget_exhausted = metrics.budget_exhausted.Value();
-  s.breaker_opens = metrics.breaker_opens.Value();
-  s.breaker_half_opens = metrics.breaker_half_opens.Value();
-  s.breaker_closes = metrics.breaker_closes.Value();
-  s.breaker_short_circuits = metrics.breaker_short_circuits.Value();
-  s.fallbacks_baseline = metrics.fallbacks_baseline.Value();
-  s.fallbacks_plan_diff = metrics.fallbacks_plan_diff.Value();
-  s.kb_insert_retries = metrics.kb_insert_retries.Value();
-  return s;
 }
 
 std::string ResilienceStats::ToString() const {
@@ -165,24 +144,6 @@ std::string ResilienceStats::ToString() const {
       static_cast<unsigned long long>(fallbacks_baseline),
       static_cast<unsigned long long>(fallbacks_plan_diff),
       static_cast<unsigned long long>(kb_insert_retries));
-}
-
-DurabilityStats SnapshotDurability(const DurabilityMetrics& metrics) {
-  DurabilityStats s;
-  s.wal_appends = metrics.wal_appends.Value();
-  s.wal_fsyncs = metrics.wal_fsyncs.Value();
-  s.wal_bytes = metrics.wal_bytes.Value();
-  s.wal_rotations = metrics.wal_rotations.Value();
-  s.snapshots = metrics.snapshots.Value();
-  s.snapshot_failures = metrics.snapshot_failures.Value();
-  s.snapshot_fallbacks = metrics.snapshot_fallbacks.Value();
-  s.replayed_records = metrics.replayed_records.Value();
-  s.truncated_records = metrics.truncated_records.Value();
-  s.corrupt_records = metrics.corrupt_records.Value();
-  s.recoveries = metrics.recoveries.Value();
-  s.recovery_micros = metrics.recovery_micros.Value();
-  s.gc_files = metrics.gc_files.Value();
-  return s;
 }
 
 std::string DurabilityStats::ToString() const {
@@ -234,21 +195,7 @@ std::string LifecycleStats::ToString() const {
 LifecycleStats MergeLifecycleStats(const LifecycleStats& a,
                                    const LifecycleStats& b) {
   LifecycleStats m;
-  m.feedback_samples = a.feedback_samples + b.feedback_samples;
-  m.feedback_wal_failures =
-      a.feedback_wal_failures + b.feedback_wal_failures;
-  m.drift_detections = a.drift_detections + b.drift_detections;
-  m.retrains = a.retrains + b.retrains;
-  m.retrain_failures = a.retrain_failures + b.retrain_failures;
-  m.shadow_runs = a.shadow_runs + b.shadow_runs;
-  m.shadow_rejects = a.shadow_rejects + b.shadow_rejects;
-  m.shadow_stalls = a.shadow_stalls + b.shadow_stalls;
-  m.shadow_aborts = a.shadow_aborts + b.shadow_aborts;
-  m.swaps = a.swaps + b.swaps;
-  m.swap_failures = a.swap_failures + b.swap_failures;
-  m.rollbacks = a.rollbacks + b.rollbacks;
-  m.kb_expired = a.kb_expired + b.kb_expired;
-  m.kb_backfilled = a.kb_backfilled + b.kb_backfilled;
+  MergeFields<LifecycleCounters>(a, b, &m);
   const LifecycleStats& newest =
       b.active_version > a.active_version ? b : a;
   m.active_version = newest.active_version;
@@ -260,96 +207,19 @@ LifecycleStats MergeLifecycleStats(const LifecycleStats& a,
   return m;
 }
 
-ServiceStats SnapshotMetrics(const ServiceMetrics& metrics) {
-  ServiceStats s;
-  s.requests = metrics.requests.Value();
-  s.completed = metrics.completed.Value();
-  s.errors = metrics.errors.Value();
-  s.cache_hits = metrics.cache_hits.Value();
-  s.cache_misses = metrics.cache_misses.Value();
-  s.kb_inserts = metrics.kb_inserts.Value();
-  s.early_rejections = metrics.early_rejections.Value();
-  s.degraded_full = metrics.degraded_full.Value();
-  s.degraded_baseline = metrics.degraded_baseline.Value();
-  s.degraded_plan_diff = metrics.degraded_plan_diff.Value();
-  s.degraded_failed = metrics.degraded_failed.Value();
-  s.encode = metrics.encode.Snap();
-  s.cache_lookup = metrics.cache_lookup.Snap();
-  s.kb_search = metrics.kb_search.Snap();
-  s.generate = metrics.generate.Snap();
-  s.end_to_end = metrics.end_to_end.Snap();
-  return s;
-}
-
 ServiceStats MergeServiceStats(const ServiceStats& a, const ServiceStats& b) {
   ServiceStats m;
-  m.requests = a.requests + b.requests;
-  m.completed = a.completed + b.completed;
-  m.errors = a.errors + b.errors;
-  m.cache_hits = a.cache_hits + b.cache_hits;
-  m.cache_misses = a.cache_misses + b.cache_misses;
-  m.kb_inserts = a.kb_inserts + b.kb_inserts;
-  m.early_rejections = a.early_rejections + b.early_rejections;
-  m.degraded_full = a.degraded_full + b.degraded_full;
-  m.degraded_baseline = a.degraded_baseline + b.degraded_baseline;
-  m.degraded_plan_diff = a.degraded_plan_diff + b.degraded_plan_diff;
-  m.degraded_failed = a.degraded_failed + b.degraded_failed;
-
-  auto merge_res = [](const ResilienceStats& x, const ResilienceStats& y) {
-    ResilienceStats r;
-    r.llm_attempts = x.llm_attempts + y.llm_attempts;
-    r.llm_retries = x.llm_retries + y.llm_retries;
-    r.llm_timeouts = x.llm_timeouts + y.llm_timeouts;
-    r.llm_transient_errors = x.llm_transient_errors + y.llm_transient_errors;
-    r.llm_garbled = x.llm_garbled + y.llm_garbled;
-    r.llm_slow = x.llm_slow + y.llm_slow;
-    r.budget_exhausted = x.budget_exhausted + y.budget_exhausted;
-    r.breaker_opens = x.breaker_opens + y.breaker_opens;
-    r.breaker_half_opens = x.breaker_half_opens + y.breaker_half_opens;
-    r.breaker_closes = x.breaker_closes + y.breaker_closes;
-    r.breaker_short_circuits =
-        x.breaker_short_circuits + y.breaker_short_circuits;
-    r.fallbacks_baseline = x.fallbacks_baseline + y.fallbacks_baseline;
-    r.fallbacks_plan_diff = x.fallbacks_plan_diff + y.fallbacks_plan_diff;
-    r.kb_insert_retries = x.kb_insert_retries + y.kb_insert_retries;
-    return r;
-  };
-  m.resilience = merge_res(a.resilience, b.resilience);
-
+  MergeFields<ServiceStats::Counters>(a, b, &m);
+  MergeFields<CacheCounters>(a, b, &m);
+  MergeFields<ResilienceStats>(a.resilience, b.resilience, &m.resilience);
   m.durability_enabled = a.durability_enabled || b.durability_enabled;
-  auto merge_dur = [](const DurabilityStats& x, const DurabilityStats& y) {
-    DurabilityStats d;
-    d.wal_appends = x.wal_appends + y.wal_appends;
-    d.wal_fsyncs = x.wal_fsyncs + y.wal_fsyncs;
-    d.wal_bytes = x.wal_bytes + y.wal_bytes;
-    d.wal_rotations = x.wal_rotations + y.wal_rotations;
-    d.snapshots = x.snapshots + y.snapshots;
-    d.snapshot_failures = x.snapshot_failures + y.snapshot_failures;
-    d.snapshot_fallbacks = x.snapshot_fallbacks + y.snapshot_fallbacks;
-    d.replayed_records = x.replayed_records + y.replayed_records;
-    d.truncated_records = x.truncated_records + y.truncated_records;
-    d.corrupt_records = x.corrupt_records + y.corrupt_records;
-    d.recoveries = x.recoveries + y.recoveries;
-    d.recovery_micros = x.recovery_micros + y.recovery_micros;
-    d.gc_files = x.gc_files + y.gc_files;
-    return d;
-  };
-  m.durability = merge_dur(a.durability, b.durability);
-
+  MergeFields<DurabilityStats>(a.durability, b.durability, &m.durability);
   m.lifecycle_enabled = a.lifecycle_enabled || b.lifecycle_enabled;
   if (a.lifecycle_enabled && b.lifecycle_enabled) {
     m.lifecycle = MergeLifecycleStats(a.lifecycle, b.lifecycle);
-  } else if (a.lifecycle_enabled) {
-    m.lifecycle = a.lifecycle;
-  } else if (b.lifecycle_enabled) {
-    m.lifecycle = b.lifecycle;
+  } else {
+    m.lifecycle = a.lifecycle_enabled ? a.lifecycle : b.lifecycle;
   }
-
-  m.encode = LatencyHistogram::Merge(a.encode, b.encode);
-  m.cache_lookup = LatencyHistogram::Merge(a.cache_lookup, b.cache_lookup);
-  m.kb_search = LatencyHistogram::Merge(a.kb_search, b.kb_search);
-  m.generate = LatencyHistogram::Merge(a.generate, b.generate);
-  m.end_to_end = LatencyHistogram::Merge(a.end_to_end, b.end_to_end);
   return m;
 }
 

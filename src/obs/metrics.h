@@ -76,107 +76,155 @@ class LatencyHistogram {
   std::atomic<uint64_t> max_ns_{0};
 };
 
-/// Counters for the resilient LLM invocation path (retries, deadlines,
-/// circuit breaker, degradation ladder). Updated by ResilientLlm and
-/// HtapExplainer; plain relaxed atomics like everything else here.
-struct ResilienceMetrics {
-  Counter llm_attempts;          // every simulated-LLM call attempt
-  Counter llm_retries;           // attempts beyond the first
-  Counter llm_timeouts;          // attempts abandoned at the deadline
-  Counter llm_transient_errors;  // injected transient dependency errors
-  Counter llm_garbled;           // responses rejected as garbled
-  Counter llm_slow;              // slow-generation faults absorbed
-  Counter budget_exhausted;      // calls stopped by the request budget
-  Counter breaker_opens;         // closed/half-open -> open transitions
-  Counter breaker_half_opens;    // open -> half-open transitions
-  Counter breaker_closes;        // half-open -> closed transitions
-  Counter breaker_short_circuits;  // calls rejected while open
-  Counter fallbacks_baseline;    // RAG exhausted -> DBG-PT baseline
-  Counter fallbacks_plan_diff;   // baseline exhausted -> plan-diff report
-  Counter kb_insert_retries;     // transient KB-write faults retried
+/// How one field of a metric group renders in the exposition: its family,
+/// help text and at most one label. Fields that share a family differ by
+/// label value; a field with a null `family` is kept but not exposed.
+struct MetricField {
+  const char* family = nullptr;
+  const char* help = nullptr;
+  const char* label = nullptr;  // label key, or nullptr for none
+  const char* value = nullptr;  // label value
+  bool gauge = false;           // a uint64_t field rendered as a gauge
+};
 
-  /// Zeroes every counter (between-run resets only; see Counter::Reset).
-  void Reset() {
-    for (Counter* c :
-         {&llm_attempts, &llm_retries, &llm_timeouts, &llm_transient_errors,
-          &llm_garbled, &llm_slow, &budget_exhausted, &breaker_opens,
-          &breaker_half_opens, &breaker_closes, &breaker_short_circuits,
-          &fallbacks_baseline, &fallbacks_plan_diff, &kb_insert_retries}) {
-      c->Reset();
-    }
+/// A family whose fields differ by the value of one label:
+/// `kind("timeout")` is the field labelled {kind="timeout"}.
+struct LabeledFamily {
+  const char* family;
+  const char* help;
+  const char* label;
+  MetricField operator()(const char* value) const {
+    return {family, help, label, value};
   }
 };
 
-/// Point-in-time copy of ResilienceMetrics.
-struct ResilienceStats {
-  uint64_t llm_attempts = 0;
-  uint64_t llm_retries = 0;
-  uint64_t llm_timeouts = 0;
-  uint64_t llm_transient_errors = 0;
-  uint64_t llm_garbled = 0;
-  uint64_t llm_slow = 0;
-  uint64_t budget_exhausted = 0;
-  uint64_t breaker_opens = 0;
-  uint64_t breaker_half_opens = 0;
-  uint64_t breaker_closes = 0;
-  uint64_t breaker_short_circuits = 0;
-  uint64_t fallbacks_baseline = 0;
-  uint64_t fallbacks_plan_diff = 0;
-  uint64_t kb_insert_retries = 0;
+// Metric groups. Each group declares its fields once, as a template over
+// the field type (Counter / LatencyHistogram while live, uint64_t /
+// LatencyHistogram::Snapshot in a snapshot), and lists them once in a
+// static Fields(f, s...) that calls f(MetricField, s.field...) per field on
+// any number of same-shaped groups at once. Snapshot, reset, merge and the
+// exposition (ExpositionBuilder::Fields) all walk that one list, so a
+// new counter is its declaration plus its Fields() line.
 
+/// Counters for the resilient LLM invocation path (retries, deadlines,
+/// circuit breaker, degradation ladder). Updated by ResilientLlm and
+/// HtapExplainer; plain relaxed atomics like everything else here.
+template <typename T>
+struct ResilienceCounters {
+  T llm_attempts{};          // every simulated-LLM call attempt
+  T llm_retries{};           // attempts beyond the first
+  T llm_timeouts{};          // attempts abandoned at the deadline
+  T llm_transient_errors{};  // injected transient dependency errors
+  T llm_garbled{};           // responses rejected as garbled
+  T llm_slow{};              // slow-generation faults absorbed
+  T budget_exhausted{};      // calls stopped by the request budget
+  T breaker_opens{};         // closed/half-open -> open transitions
+  T breaker_half_opens{};    // open -> half-open transitions
+  T breaker_closes{};        // half-open -> closed transitions
+  T breaker_short_circuits{};  // calls rejected while open
+  T fallbacks_baseline{};    // RAG exhausted -> DBG-PT baseline
+  T fallbacks_plan_diff{};   // baseline exhausted -> plan-diff report
+  T kb_insert_retries{};     // transient KB-write faults retried
+
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    const LabeledFamily failure{"htapex_llm_failures_total",
+                                "LLM attempt failures by kind", "kind"};
+    const LabeledFamily breaker{"htapex_breaker_transitions_total",
+                                "Circuit-breaker state transitions",
+                                "transition"};
+    const LabeledFamily fallback{"htapex_fallbacks_total",
+                                 "Degradation-ladder fallbacks taken", "rung"};
+    f(MetricField{"htapex_llm_attempts_total", "Simulated-LLM call attempts"},
+      s.llm_attempts...);
+    f(MetricField{"htapex_llm_retries_total", "Attempts beyond the first"},
+      s.llm_retries...);
+    f(failure("timeout"), s.llm_timeouts...);
+    f(failure("transient"), s.llm_transient_errors...);
+    f(failure("garbled"), s.llm_garbled...);
+    f(MetricField{"htapex_llm_slow_total", "Slow-generation faults absorbed"},
+      s.llm_slow...);
+    f(MetricField{"htapex_budget_exhausted_total",
+                  "Calls stopped by the request budget"},
+      s.budget_exhausted...);
+    f(breaker("open"), s.breaker_opens...);
+    f(breaker("half_open"), s.breaker_half_opens...);
+    f(breaker("close"), s.breaker_closes...);
+    f(MetricField{"htapex_breaker_short_circuits_total",
+                  "Calls rejected while a breaker was open"},
+      s.breaker_short_circuits...);
+    f(fallback("baseline"), s.fallbacks_baseline...);
+    f(fallback("plan_diff"), s.fallbacks_plan_diff...);
+    f(MetricField{"htapex_kb_insert_retries_total",
+                  "Transient KB-write faults retried"},
+      s.kb_insert_retries...);
+  }
+
+  /// Zeroes every counter (between-run resets only; see Counter::Reset).
+  void Reset() {
+    Fields([](const MetricField&, Counter& c) { c.Reset(); }, *this);
+  }
+};
+
+using ResilienceMetrics = ResilienceCounters<Counter>;
+
+/// Point-in-time copy of ResilienceMetrics.
+struct ResilienceStats : ResilienceCounters<uint64_t> {
   /// One-line human-readable summary.
   std::string ToString() const;
 };
 
-ResilienceStats SnapshotResilience(const ResilienceMetrics& metrics);
-
 /// Counters for the knowledge-base durability subsystem (src/durable/):
 /// WAL traffic, snapshot lifecycle, and what recovery found. Updated by
 /// DurableKnowledgeBase; relaxed atomics like everything else here.
-struct DurabilityMetrics {
-  Counter wal_appends;          // records appended to the WAL
-  Counter wal_fsyncs;           // fsyncs issued on the active segment
-  Counter wal_bytes;            // payload + framing bytes appended
-  Counter wal_rotations;        // segment rotations (one per snapshot)
-  Counter snapshots;            // snapshots durably installed
-  Counter snapshot_failures;    // snapshot attempts aborted (fault/IO)
-  Counter snapshot_fallbacks;   // recoveries that skipped a corrupt newest
-                                // snapshot for an older generation
-  Counter replayed_records;     // WAL records applied during recovery
-  Counter truncated_records;    // torn tails dropped during recovery
-  Counter corrupt_records;      // checksum/framing failures during replay
-  Counter recoveries;           // successful Open() recoveries
-  Counter recovery_micros;      // total recovery wall time, microseconds
-  Counter gc_files;             // superseded segments/snapshots deleted
+template <typename T>
+struct DurabilityCounters {
+  T wal_appends{};          // records appended to the WAL
+  T wal_fsyncs{};           // fsyncs issued on the active segment
+  T wal_bytes{};            // payload + framing bytes appended
+  T wal_rotations{};        // segment rotations (one per snapshot)
+  T snapshots{};            // snapshots durably installed
+  T snapshot_failures{};    // snapshot attempts aborted (fault/IO)
+  T snapshot_fallbacks{};   // recoveries that skipped a corrupt newest
+                            // snapshot for an older generation
+  T replayed_records{};     // WAL records applied during recovery
+  T truncated_records{};    // torn tails dropped during recovery
+  T corrupt_records{};      // checksum/framing failures during replay
+  T recoveries{};           // successful Open() recoveries
+  T recovery_micros{};      // total recovery wall time, microseconds
+  T gc_files{};             // superseded segments/snapshots deleted
 
-  /// Zeroes every counter (between-run resets only; see Counter::Reset).
-  void Reset() {
-    for (Counter* c :
-         {&wal_appends, &wal_fsyncs, &wal_bytes, &wal_rotations, &snapshots,
-          &snapshot_failures, &snapshot_fallbacks, &replayed_records,
-          &truncated_records, &corrupt_records, &recoveries, &recovery_micros,
-          &gc_files}) {
-      c->Reset();
-    }
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(MetricField{"htapex_wal_appends_total", "WAL records appended"},
+      s.wal_appends...);
+    f(MetricField{"htapex_wal_fsyncs_total", "WAL fsyncs issued"},
+      s.wal_fsyncs...);
+    f(MetricField{"htapex_wal_bytes_total", "WAL bytes appended"},
+      s.wal_bytes...);
+    f(MetricField{}, s.wal_rotations...);
+    f(MetricField{"htapex_snapshots_total", "Snapshots durably installed"},
+      s.snapshots...);
+    f(MetricField{"htapex_snapshot_failures_total",
+                  "Snapshot attempts aborted"},
+      s.snapshot_failures...);
+    f(MetricField{}, s.snapshot_fallbacks...);
+    f(MetricField{"htapex_replayed_records_total",
+                  "WAL records applied during recovery"},
+      s.replayed_records...);
+    f(MetricField{}, s.truncated_records...);
+    f(MetricField{}, s.corrupt_records...);
+    f(MetricField{"htapex_recoveries_total", "Successful startup recoveries"},
+      s.recoveries...);
+    f(MetricField{}, s.recovery_micros...);
+    f(MetricField{}, s.gc_files...);
   }
 };
 
-/// Point-in-time copy of DurabilityMetrics.
-struct DurabilityStats {
-  uint64_t wal_appends = 0;
-  uint64_t wal_fsyncs = 0;
-  uint64_t wal_bytes = 0;
-  uint64_t wal_rotations = 0;
-  uint64_t snapshots = 0;
-  uint64_t snapshot_failures = 0;
-  uint64_t snapshot_fallbacks = 0;
-  uint64_t replayed_records = 0;
-  uint64_t truncated_records = 0;
-  uint64_t corrupt_records = 0;
-  uint64_t recoveries = 0;
-  uint64_t recovery_micros = 0;
-  uint64_t gc_files = 0;
+using DurabilityMetrics = DurabilityCounters<Counter>;
 
+/// Point-in-time copy of DurabilityMetrics.
+struct DurabilityStats : DurabilityCounters<uint64_t> {
   double recovery_ms() const {
     return static_cast<double>(recovery_micros) / 1000.0;
   }
@@ -185,16 +233,10 @@ struct DurabilityStats {
   std::string ToString() const;
 };
 
-DurabilityStats SnapshotDurability(const DurabilityMetrics& metrics);
-
-/// Point-in-time view of one ModelLifecycleManager (src/lifecycle/): the
-/// retrain → shadow → swap → watch loop's counters plus the identity of the
-/// serving snapshot. Produced under the manager's lock (plain values, no
-/// atomics); merged across shards by MergeLifecycleStats.
-struct LifecycleStats {
-  std::string phase;             // current state-machine phase name
-  uint64_t active_version = 0;   // serving frozen-snapshot version
-  uint32_t active_crc = 0;       // serving frozen-snapshot CRC32
+/// The counters of one ModelLifecycleManager (src/lifecycle/): the
+/// retrain → shadow → swap → watch loop. Plain values, kept under the
+/// manager's lock.
+struct LifecycleCounters {
   uint64_t feedback_samples = 0; // execution-feedback samples recorded
   uint64_t feedback_wal_failures = 0;  // feedback appends lost (wedged log)
   uint64_t drift_detections = 0;
@@ -209,6 +251,39 @@ struct LifecycleStats {
   uint64_t rollbacks = 0;          // regressions rolled back (incl. manual)
   uint64_t kb_expired = 0;         // stale KB entries expired by curation
   uint64_t kb_backfilled = 0;      // entries re-annotated and re-inserted
+
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    const LabeledFamily event{"htapex_lifecycle_events_total",
+                              "Model-lifecycle events by kind", "event"};
+    f(MetricField{"htapex_lifecycle_feedback_samples_total",
+                  "Execution-feedback samples recorded"},
+      s.feedback_samples...);
+    f(MetricField{"htapex_lifecycle_feedback_wal_failures_total",
+                  "Feedback appends lost to a wedged log"},
+      s.feedback_wal_failures...);
+    f(event("drift_detected"), s.drift_detections...);
+    f(event("retrain"), s.retrains...);
+    f(event("retrain_failure"), s.retrain_failures...);
+    f(event("shadow_run"), s.shadow_runs...);
+    f(event("shadow_reject"), s.shadow_rejects...);
+    f(event("shadow_stall"), s.shadow_stalls...);
+    f(event("shadow_abort"), s.shadow_aborts...);
+    f(event("swap"), s.swaps...);
+    f(event("swap_failure"), s.swap_failures...);
+    f(event("rollback"), s.rollbacks...);
+    f(event("kb_expired"), s.kb_expired...);
+    f(event("kb_backfilled"), s.kb_backfilled...);
+  }
+};
+
+/// Point-in-time view of one ModelLifecycleManager: its counters plus the
+/// identity of the serving snapshot. Merged across shards by
+/// MergeLifecycleStats.
+struct LifecycleStats : LifecycleCounters {
+  std::string phase;             // current state-machine phase name
+  uint64_t active_version = 0;   // serving frozen-snapshot version
+  uint32_t active_crc = 0;       // serving frozen-snapshot CRC32
   double serving_accuracy = 0.0;   // latest windowed serving accuracy
   double baseline_accuracy = 0.0;  // high-water accuracy since last swap
   double candidate_accuracy = 0.0; // latest shadow-scored candidate
@@ -224,41 +299,88 @@ struct LifecycleStats {
 LifecycleStats MergeLifecycleStats(const LifecycleStats& a,
                                    const LifecycleStats& b);
 
-/// All service-level metrics, updated by ExplainService workers.
-struct ServiceMetrics {
-  Counter requests;       // submitted to the service
-  Counter completed;      // finished (ok or error)
-  Counter errors;         // bind/plan failures etc.
-  Counter cache_hits;
-  Counter cache_misses;
-  Counter kb_inserts;     // expert-loop corrections incorporated
-  Counter early_rejections;  // over-budget requests rejected at dequeue
+/// Service-level counters and stage latencies, updated by ExplainService
+/// workers. `C` is the counter type, `H` the histogram type.
+template <typename C, typename H>
+struct ServiceCounters {
+  C requests{};          // submitted to the service
+  C completed{};         // finished (ok or error)
+  C errors{};            // bind/plan failures etc.
+  C kb_inserts{};        // expert-loop corrections incorporated
+  C early_rejections{};  // over-budget requests rejected at dequeue
   // Degradation mix (see DegradationLevel in core/htap_explainer.h).
-  Counter degraded_full;
-  Counter degraded_baseline;
-  Counter degraded_plan_diff;
-  Counter degraded_failed;   // errors + early rejections
+  C degraded_full{};
+  C degraded_baseline{};
+  C degraded_plan_diff{};
+  C degraded_failed{};   // errors + early rejections
 
-  LatencyHistogram encode;        // router embedding
-  LatencyHistogram cache_lookup;  // result-cache probe
-  LatencyHistogram kb_search;     // knowledge-base retrieval
-  LatencyHistogram generate;      // simulated LLM thinking + generation
-  LatencyHistogram end_to_end;    // full per-request latency
+  H encode{};        // router embedding
+  H cache_lookup{};  // result-cache probe
+  H kb_search{};     // knowledge-base retrieval
+  H generate{};      // simulated LLM thinking + generation
+  H end_to_end{};    // full per-request latency
+
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    const LabeledFamily degraded{
+        "htapex_degraded_total",
+        "Completed requests by degradation-ladder rung", "level"};
+    const LabeledFamily stage{"htapex_stage_latency_ms",
+                              "Service stage latency summaries", "stage"};
+    f(MetricField{"htapex_requests_total", "Requests submitted to the service"},
+      s.requests...);
+    f(MetricField{"htapex_completed_total", "Requests finished (ok or error)"},
+      s.completed...);
+    f(MetricField{"htapex_errors_total", "Requests failed in bind/plan/explain"},
+      s.errors...);
+    f(MetricField{"htapex_kb_inserts_total",
+                  "Expert corrections incorporated into the knowledge base"},
+      s.kb_inserts...);
+    f(MetricField{"htapex_early_rejections_total",
+                  "Over-budget requests shed at dequeue"},
+      s.early_rejections...);
+    f(degraded("full"), s.degraded_full...);
+    f(degraded("baseline"), s.degraded_baseline...);
+    f(degraded("plan_diff"), s.degraded_plan_diff...);
+    f(degraded("failed"), s.degraded_failed...);
+    f(stage("encode"), s.encode...);
+    f(stage("cache_lookup"), s.cache_lookup...);
+    f(stage("kb_search"), s.kb_search...);
+    f(stage("generate"), s.generate...);
+    f(stage("end_to_end"), s.end_to_end...);
+  }
 };
 
-/// Point-in-time copy of ServiceMetrics, cheap to pass around and print.
-struct ServiceStats {
-  uint64_t requests = 0;
-  uint64_t completed = 0;
-  uint64_t errors = 0;
+using ServiceMetrics = ServiceCounters<Counter, LatencyHistogram>;
+
+/// Result-cache counters. ShardedExplainCache counts them (it is the one
+/// place that sees every probe); ExplainService::Stats() copies them here.
+struct CacheCounters {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  uint64_t kb_inserts = 0;
-  uint64_t early_rejections = 0;
-  uint64_t degraded_full = 0;
-  uint64_t degraded_baseline = 0;
-  uint64_t degraded_plan_diff = 0;
-  uint64_t degraded_failed = 0;
+  uint64_t cache_insertions = 0;
+  uint64_t cache_evictions = 0;
+  uint64_t cache_entries = 0;  // resident entries (a gauge; sums over shards)
+
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    const LabeledFamily event{"htapex_cache_events_total",
+                              "Result-cache events", "event"};
+    f(event("hit"), s.cache_hits...);
+    f(event("miss"), s.cache_misses...);
+    f(event("insertion"), s.cache_insertions...);
+    f(event("eviction"), s.cache_evictions...);
+    f(MetricField{"htapex_cache_entries", "Result-cache resident entries",
+                  nullptr, nullptr, /*gauge=*/true},
+      s.cache_entries...);
+  }
+};
+
+/// Point-in-time copy of ServiceMetrics plus the cache and the groups the
+/// service fronts; cheap to pass around and print.
+struct ServiceStats : ServiceCounters<uint64_t, LatencyHistogram::Snapshot>,
+                      CacheCounters {
+  using Counters = ServiceCounters<uint64_t, LatencyHistogram::Snapshot>;
 
   /// Snapshot of the explainer's resilience counters (retries, breaker
   /// transitions, fallbacks) taken alongside the service counters.
@@ -274,12 +396,6 @@ struct ServiceStats {
   bool lifecycle_enabled = false;
   LifecycleStats lifecycle;
 
-  LatencyHistogram::Snapshot encode;
-  LatencyHistogram::Snapshot cache_lookup;
-  LatencyHistogram::Snapshot kb_search;
-  LatencyHistogram::Snapshot generate;
-  LatencyHistogram::Snapshot end_to_end;
-
   double cache_hit_rate() const {
     uint64_t probes = cache_hits + cache_misses;
     return probes == 0 ? 0.0 : static_cast<double>(cache_hits) / probes;
@@ -289,11 +405,51 @@ struct ServiceStats {
   std::string ToString() const;
 };
 
-ServiceStats SnapshotMetrics(const ServiceMetrics& metrics);
+namespace metrics_detail {
+inline uint64_t Snap(const Counter& c) { return c.Value(); }
+inline LatencyHistogram::Snapshot Snap(const LatencyHistogram& h) {
+  return h.Snap();
+}
+inline uint64_t Merge(uint64_t a, uint64_t b) { return a + b; }
+inline LatencyHistogram::Snapshot Merge(const LatencyHistogram::Snapshot& a,
+                                        const LatencyHistogram::Snapshot& b) {
+  return LatencyHistogram::Merge(a, b);
+}
+}  // namespace metrics_detail
 
-/// Aggregates per-shard ServiceStats into fleet-level stats: counters sum,
-/// histograms merge bucket-wise (LatencyHistogram::Merge — no sample loss,
-/// no quantile averaging), durability is enabled if any input had it.
+/// Copies every field `Group` lists from live metrics into `out`.
+template <typename Group, typename Live, typename Out>
+void SnapshotFields(const Live& live, Out* out) {
+  Group::Fields(
+      [](const MetricField&, const auto& in, auto& o) {
+        o = metrics_detail::Snap(in);
+      },
+      live, *out);
+}
+
+/// Point-in-time copy of a live group whose Stats type lists its own fields.
+template <typename Stats, typename Live>
+Stats SnapshotOf(const Live& live) {
+  Stats s;
+  SnapshotFields<Stats>(live, &s);
+  return s;
+}
+
+/// Merges every field `Group` lists: counters sum, histograms merge
+/// bucket-wise (LatencyHistogram::Merge — no sample loss, no quantile
+/// averaging).
+template <typename Group, typename Stats>
+void MergeFields(const Stats& a, const Stats& b, Stats* out) {
+  Group::Fields(
+      [](const MetricField&, const auto& x, const auto& y, auto& o) {
+        o = metrics_detail::Merge(x, y);
+      },
+      a, b, *out);
+}
+
+/// Aggregates per-shard ServiceStats into fleet-level stats: every listed
+/// field merges (MergeFields), durability is enabled if any input had it,
+/// lifecycle merges by MergeLifecycleStats.
 ServiceStats MergeServiceStats(const ServiceStats& a, const ServiceStats& b);
 
 }  // namespace htapex

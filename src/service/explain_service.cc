@@ -10,7 +10,6 @@
 #include "common/logging.h"
 #include "common/sim_clock.h"
 #include "durable/durable_kb.h"
-#include "obs/exposition.h"
 
 namespace htapex {
 
@@ -339,7 +338,6 @@ Result<ExplainResult> ExplainService::ProcessPrepared(
       if (hit != nullptr) trace->Event("cache_hit");
     }
     if (hit != nullptr) {
-      metrics_.cache_hits.Inc();
       // Fresh plans + cached explanation. Search/generation timings are
       // zeroed: nothing was searched or generated for this request, and
       // end_to_end_ms() must reflect what this request actually cost.
@@ -360,7 +358,6 @@ Result<ExplainResult> ExplainService::ProcessPrepared(
       FinalizeTrace(std::move(trace), &result);
       return result;
     }
-    metrics_.cache_misses.Inc();
   }
 
   Result<ExplainResult> result = [&] {
@@ -445,7 +442,14 @@ Status ExplainService::IncorporateCorrection(const ExplainResult& result) {
 }
 
 ServiceStats ExplainService::Stats() const {
-  ServiceStats stats = SnapshotMetrics(metrics_);
+  ServiceStats stats;
+  SnapshotFields<ServiceStats::Counters>(metrics_, &stats);
+  ShardedExplainCache::Stats cache = cache_.GetStats();
+  stats.cache_hits = cache.hits;
+  stats.cache_misses = cache.misses;
+  stats.cache_insertions = cache.insertions;
+  stats.cache_evictions = cache.evictions;
+  stats.cache_entries = cache.size;
   stats.resilience = explainer_->ResilienceSnapshot();
   if (config_.durable != nullptr) {
     stats.durability_enabled = true;
@@ -458,208 +462,60 @@ ServiceStats ExplainService::Stats() const {
   return stats;
 }
 
-std::string ExplainService::ExpositionText() const {
-  ServiceStats s = Stats();
-  ShardedExplainCache::Stats c = CacheStats();
-  TraceMetrics::Stats t = TraceSnapshot();
-  ExpositionBuilder b;
-
-  b.Counter("htapex_requests_total", "Requests submitted to the service",
-            s.requests);
-  b.Counter("htapex_completed_total", "Requests finished (ok or error)",
-            s.completed);
-  b.Counter("htapex_errors_total", "Requests failed in bind/plan/explain",
-            s.errors);
-  b.Counter("htapex_early_rejections_total",
-            "Over-budget requests shed at dequeue", s.early_rejections);
-  b.Counter("htapex_kb_inserts_total",
-            "Expert corrections incorporated into the knowledge base",
-            s.kb_inserts);
-  const char* kDegradedHelp =
-      "Completed requests by degradation-ladder rung";
-  b.Counter("htapex_degraded_total", kDegradedHelp, s.degraded_full,
-            {{"level", "full"}});
-  b.Counter("htapex_degraded_total", kDegradedHelp, s.degraded_baseline,
-            {{"level", "baseline"}});
-  b.Counter("htapex_degraded_total", kDegradedHelp, s.degraded_plan_diff,
-            {{"level", "plan_diff"}});
-  b.Counter("htapex_degraded_total", kDegradedHelp, s.degraded_failed,
-            {{"level", "failed"}});
-
-  const char* kCacheHelp = "Result-cache events";
-  b.Counter("htapex_cache_events_total", kCacheHelp, c.hits,
-            {{"event", "hit"}});
-  b.Counter("htapex_cache_events_total", kCacheHelp, c.misses,
-            {{"event", "miss"}});
-  b.Counter("htapex_cache_events_total", kCacheHelp, c.insertions,
-            {{"event", "insertion"}});
-  b.Counter("htapex_cache_events_total", kCacheHelp, c.evictions,
-            {{"event", "eviction"}});
-  b.Gauge("htapex_cache_entries", "Result-cache resident entries",
-          static_cast<double>(c.size));
-
-  const ResilienceStats& r = s.resilience;
-  b.Counter("htapex_llm_attempts_total", "Simulated-LLM call attempts",
-            r.llm_attempts);
-  b.Counter("htapex_llm_retries_total", "Attempts beyond the first",
-            r.llm_retries);
-  const char* kLlmFaultHelp = "LLM attempt failures by kind";
-  b.Counter("htapex_llm_failures_total", kLlmFaultHelp, r.llm_timeouts,
-            {{"kind", "timeout"}});
-  b.Counter("htapex_llm_failures_total", kLlmFaultHelp, r.llm_transient_errors,
-            {{"kind", "transient"}});
-  b.Counter("htapex_llm_failures_total", kLlmFaultHelp, r.llm_garbled,
-            {{"kind", "garbled"}});
-  b.Counter("htapex_llm_slow_total", "Slow-generation faults absorbed",
-            r.llm_slow);
-  b.Counter("htapex_budget_exhausted_total",
-            "Calls stopped by the request budget", r.budget_exhausted);
-  const char* kBreakerHelp = "Circuit-breaker state transitions";
-  b.Counter("htapex_breaker_transitions_total", kBreakerHelp, r.breaker_opens,
-            {{"transition", "open"}});
-  b.Counter("htapex_breaker_transitions_total", kBreakerHelp,
-            r.breaker_half_opens, {{"transition", "half_open"}});
-  b.Counter("htapex_breaker_transitions_total", kBreakerHelp,
-            r.breaker_closes, {{"transition", "close"}});
-  b.Counter("htapex_breaker_short_circuits_total",
-            "Calls rejected while a breaker was open",
-            r.breaker_short_circuits);
-  const char* kFallbackHelp = "Degradation-ladder fallbacks taken";
-  b.Counter("htapex_fallbacks_total", kFallbackHelp, r.fallbacks_baseline,
-            {{"rung", "baseline"}});
-  b.Counter("htapex_fallbacks_total", kFallbackHelp, r.fallbacks_plan_diff,
-            {{"rung", "plan_diff"}});
-  b.Counter("htapex_kb_insert_retries_total",
-            "Transient KB-write faults retried", r.kb_insert_retries);
-
-  if (s.durability_enabled) {
-    const DurabilityStats& d = s.durability;
-    b.Counter("htapex_wal_appends_total", "WAL records appended",
-              d.wal_appends);
-    b.Counter("htapex_wal_bytes_total", "WAL bytes appended", d.wal_bytes);
-    b.Counter("htapex_wal_fsyncs_total", "WAL fsyncs issued", d.wal_fsyncs);
-    b.Counter("htapex_snapshots_total", "Snapshots durably installed",
-              d.snapshots);
-    b.Counter("htapex_snapshot_failures_total", "Snapshot attempts aborted",
-              d.snapshot_failures);
-    b.Counter("htapex_recoveries_total", "Successful startup recoveries",
-              d.recoveries);
-    b.Counter("htapex_replayed_records_total",
-              "WAL records applied during recovery", d.replayed_records);
-  }
-
+void ExplainService::AppendExposition(const ServiceStats& s,
+                                      const TraceMetrics::Stats& traces,
+                                      ExpositionBuilder* b) {
+  b->Fields<ServiceStats::Counters>(s);
+  b->Fields<CacheCounters>(s);
+  b->Fields<ResilienceStats>(s.resilience);
+  if (s.durability_enabled) b->Fields<DurabilityStats>(s.durability);
   if (s.lifecycle_enabled) {
+    // The snapshot identity is not a counter, so it is written here; a
+    // merged phase is empty when shards disagree.
     const LifecycleStats& l = s.lifecycle;
-    b.Gauge("htapex_lifecycle_phase",
-            "Current lifecycle phase (constant 1, labeled)", 1.0,
-            {{"phase", l.phase}});
-    b.Gauge("htapex_lifecycle_active_version",
-            "Serving frozen-snapshot version",
-            static_cast<double>(l.active_version));
-    b.Counter("htapex_lifecycle_feedback_samples_total",
-              "Execution-feedback samples recorded", l.feedback_samples);
-    b.Counter("htapex_lifecycle_feedback_wal_failures_total",
-              "Feedback appends lost to a wedged log",
-              l.feedback_wal_failures);
-    const char* kLifecycleHelp = "Model-lifecycle events by kind";
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp,
-              l.drift_detections, {{"event", "drift_detected"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp, l.retrains,
-              {{"event", "retrain"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp,
-              l.retrain_failures, {{"event", "retrain_failure"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp, l.shadow_runs,
-              {{"event", "shadow_run"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp,
-              l.shadow_rejects, {{"event", "shadow_reject"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp,
-              l.shadow_stalls, {{"event", "shadow_stall"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp,
-              l.shadow_aborts, {{"event", "shadow_abort"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp, l.swaps,
-              {{"event", "swap"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp,
-              l.swap_failures, {{"event", "swap_failure"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp, l.rollbacks,
-              {{"event", "rollback"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp, l.kb_expired,
-              {{"event", "kb_expired"}});
-    b.Counter("htapex_lifecycle_events_total", kLifecycleHelp,
-              l.kb_backfilled, {{"event", "kb_backfilled"}});
+    b->Gauge("htapex_lifecycle_phase",
+             "Current lifecycle phase (constant 1, labeled)", 1.0,
+             {{"phase", l.phase.empty() ? "mixed" : l.phase}});
+    b->Gauge("htapex_lifecycle_active_version",
+             "Serving frozen-snapshot version",
+             static_cast<double>(l.active_version));
+    b->Fields<LifecycleCounters>(l);
     const char* kAccuracyHelp = "Windowed router accuracy by series";
-    b.Gauge("htapex_lifecycle_accuracy", kAccuracyHelp, l.serving_accuracy,
-            {{"series", "serving"}});
-    b.Gauge("htapex_lifecycle_accuracy", kAccuracyHelp, l.baseline_accuracy,
-            {{"series", "baseline"}});
-    b.Gauge("htapex_lifecycle_accuracy", kAccuracyHelp, l.candidate_accuracy,
-            {{"series", "candidate"}});
+    b->Gauge("htapex_lifecycle_accuracy", kAccuracyHelp, l.serving_accuracy,
+             {{"series", "serving"}});
+    b->Gauge("htapex_lifecycle_accuracy", kAccuracyHelp, l.baseline_accuracy,
+             {{"series", "baseline"}});
+    b->Gauge("htapex_lifecycle_accuracy", kAccuracyHelp,
+             l.candidate_accuracy, {{"series", "candidate"}});
   }
+  b->Traces(traces);
 
   // Kernel dispatch: which SIMD backend is live (constant 1 gauge, labeled
   // by backend) and how hot each kernel runs — process-wide counters, so an
-  // operator can correlate backend choice with the span latencies below.
+  // operator can correlate backend choice with the span latencies.
   kernels::KernelStats k = kernels::Stats();
-  b.Gauge("htapex_kernel_backend",
-          "Active compute-kernel dispatch backend (constant 1)", 1.0,
-          {{"backend", kernels::BackendName(k.backend)}});
-  const char* kKernelHelp =
-      "Compute-kernel operations by kernel (squared_l2 counts distances)";
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.squared_l2,
-            {{"kernel", "squared_l2"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.gemm,
-            {{"kernel", "gemm"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.matvec,
-            {{"kernel", "matvec"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.axpy,
-            {{"kernel", "axpy"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.relu,
-            {{"kernel", "relu"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.reduce_max,
-            {{"kernel", "reduce_max"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.max_accum,
-            {{"kernel", "max_accum"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.mask_cmp,
-            {{"kernel", "mask_cmp"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.mask_and,
-            {{"kernel", "mask_and"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.mask_andnot,
-            {{"kernel", "mask_andnot"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.count_mask,
-            {{"kernel", "count_mask"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.sum_f64,
-            {{"kernel", "sum_f64"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.sum_i64,
-            {{"kernel", "sum_i64"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.hash_i64,
-            {{"kernel", "hash_i64"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.hash_f64,
-            {{"kernel", "hash_f64"}});
-  b.Counter("htapex_kernel_ops_total", kKernelHelp, k.hash_bytes,
-            {{"kernel", "hash_bytes"}});
+  b->Gauge("htapex_kernel_backend",
+           "Active compute-kernel dispatch backend (constant 1)", 1.0,
+           {{"backend", kernels::BackendName(k.backend)}});
+  const std::pair<const char*, uint64_t> ops[] = {
+      {"squared_l2", k.squared_l2}, {"gemm", k.gemm},
+      {"matvec", k.matvec},         {"axpy", k.axpy},
+      {"relu", k.relu},             {"reduce_max", k.reduce_max},
+      {"max_accum", k.max_accum},   {"mask_cmp", k.mask_cmp},
+      {"mask_and", k.mask_and},     {"mask_andnot", k.mask_andnot},
+      {"count_mask", k.count_mask}, {"sum_f64", k.sum_f64},
+      {"sum_i64", k.sum_i64},       {"hash_i64", k.hash_i64},
+      {"hash_f64", k.hash_f64},     {"hash_bytes", k.hash_bytes}};
+  const LabeledFamily kernel_ops{
+      "htapex_kernel_ops_total",
+      "Compute-kernel operations by kernel (squared_l2 counts distances)",
+      "kernel"};
+  for (const auto& [kernel, count] : ops) b->Add(kernel_ops(kernel), count);
+}
 
-  const char* kStageHelp = "Service stage latency summaries";
-  b.Summary("htapex_stage_latency_ms", kStageHelp, s.encode,
-            {{"stage", "encode"}});
-  b.Summary("htapex_stage_latency_ms", kStageHelp, s.cache_lookup,
-            {{"stage", "cache_lookup"}});
-  b.Summary("htapex_stage_latency_ms", kStageHelp, s.kb_search,
-            {{"stage", "kb_search"}});
-  b.Summary("htapex_stage_latency_ms", kStageHelp, s.generate,
-            {{"stage", "generate"}});
-  b.Summary("htapex_stage_latency_ms", kStageHelp, s.end_to_end,
-            {{"stage", "end_to_end"}});
-
-  b.Counter("htapex_traces_recorded_total", "Completed request traces",
-            t.traces);
-  b.Counter("htapex_slow_traces_total",
-            "Traces above the slow-request threshold", t.slow_traces);
-  b.Counter("htapex_unknown_spans_total",
-            "Spans recorded outside the canonical taxonomy", t.unknown_spans);
-  const char* kSpanHelp = "Per-span latency summaries from request traces";
-  for (const TraceMetrics::SpanStat& span : t.spans) {
-    b.Summary("htapex_span_latency_ms", kSpanHelp, span.hist,
-              {{"span", span.name}});
-  }
+std::string ExplainService::ExpositionText() const {
+  ExpositionBuilder b;
+  AppendExposition(Stats(), TraceSnapshot(), &b);
   return b.Text();
 }
 

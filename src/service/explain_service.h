@@ -15,6 +15,7 @@
 
 #include "core/htap_explainer.h"
 #include "lifecycle/model_lifecycle.h"
+#include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/explain_cache.h"
@@ -153,6 +154,13 @@ class ExplainService {
   /// text exposition format (obs/exposition.h). The output is guaranteed to
   /// round-trip through ParseExposition; CI holds that invariant.
   std::string ExpositionText() const;
+  /// The one writer behind every service family: `stats` and `traces` (one
+  /// service's own, or a sharded tier's merge of its shards) plus the
+  /// process-wide kernel families. ExpositionText() and
+  /// ShardedExplainService::ExpositionText() both render through it.
+  static void AppendExposition(const ServiceStats& stats,
+                               const TraceMetrics::Stats& traces,
+                               ExpositionBuilder* b);
 
   /// Stops accepting work, lets workers drain the queue, joins them, then
   /// deterministically fails any request that somehow remains queued (typed

@@ -450,17 +450,12 @@ void ShardedExplainService::KillShard(int shard) {
     // Crash semantics: fail the backlog, join workers, NO snapshot — the
     // shard's directory stays exactly as the "crash" found it.
     inc->service->Kill();
+    ServiceStats final_stats = inc->service->Stats();
+    final_stats.cache_entries = 0;  // the cache dies with the incarnation
     std::lock_guard<std::mutex> lock(health_mu_);
-    s.retained_stats = s.has_retained
-                           ? MergeServiceStats(s.retained_stats,
-                                               inc->service->Stats())
-                           : inc->service->Stats();
-    s.retained_traces =
-        s.has_retained
-            ? TraceMetrics::MergeStats(s.retained_traces,
-                                       inc->service->TraceSnapshot())
-            : inc->service->TraceSnapshot();
-    s.has_retained = true;
+    s.retained_stats = MergeServiceStats(s.retained_stats, final_stats);
+    s.retained_traces = TraceMetrics::MergeStats(
+        s.retained_traces, inc->service->TraceSnapshot());
   }
   {
     // Close replica appenders this shard hosts; sources re-route on their
@@ -709,26 +704,6 @@ std::vector<std::string> ShardedExplainService::EventLog() const {
   return events_;
 }
 
-ServiceStats ShardedExplainService::ShardStatsLocked(int shard) const {
-  const Shard& s = *shards_[static_cast<size_t>(shard)];
-  ServiceStats stats = s.has_retained ? s.retained_stats : ServiceStats{};
-  auto inc = s.inc.load();
-  if (inc != nullptr) stats = MergeServiceStats(stats, inc->service->Stats());
-  return stats;
-}
-
-TraceMetrics::Stats ShardedExplainService::ShardTracesLocked(
-    int shard) const {
-  const Shard& s = *shards_[static_cast<size_t>(shard)];
-  TraceMetrics::Stats stats =
-      s.has_retained ? s.retained_traces : TraceMetrics::Stats{};
-  auto inc = s.inc.load();
-  if (inc != nullptr) {
-    stats = TraceMetrics::MergeStats(stats, inc->service->TraceSnapshot());
-  }
-  return stats;
-}
-
 ShardedServiceStats ShardedExplainService::Stats() const {
   std::lock_guard<std::mutex> lock(health_mu_);
   ShardedServiceStats out;
@@ -739,10 +714,17 @@ ShardedServiceStats ShardedExplainService::Stats() const {
   out.failover = failover_;
   out.live_shards = router_->NumLive();
   for (int i = 0; i < config_.num_shards; ++i) {
-    ServiceStats stats = ShardStatsLocked(i);
+    // A shard's stats: its killed incarnations' (retained) plus the live
+    // incarnation's.
+    const Shard& shard = *shards_[static_cast<size_t>(i)];
+    ServiceStats stats = shard.retained_stats;
+    TraceMetrics::Stats traces = shard.retained_traces;
+    if (auto inc = shard.inc.load()) {
+      stats = MergeServiceStats(stats, inc->service->Stats());
+      traces = TraceMetrics::MergeStats(traces, inc->service->TraceSnapshot());
+    }
     out.merged = MergeServiceStats(out.merged, stats);
-    out.merged_traces =
-        TraceMetrics::MergeStats(out.merged_traces, ShardTracesLocked(i));
+    out.merged_traces = TraceMetrics::MergeStats(out.merged_traces, traces);
     out.shards.push_back(std::move(stats));
   }
   return out;
@@ -751,76 +733,27 @@ ShardedServiceStats ShardedExplainService::Stats() const {
 std::string ShardedExplainService::ExpositionText() const {
   ShardedServiceStats s = Stats();
   ExpositionBuilder b;
+  // Every service family, over the shards' merge: counters summed,
+  // summaries bucket-merged. Only the families below belong to the tier.
+  ExplainService::AppendExposition(s.merged, s.merged_traces, &b);
 
   b.Counter("htapex_tier_requests_total",
             "Requests submitted to the sharded tier", s.failover.requests);
-  b.Counter("htapex_tier_completed_total",
-            "Requests finished across all shards", s.merged.completed);
-  b.Counter("htapex_tier_errors_total", "Requests failed across all shards",
-            s.merged.errors);
-  const char* kCacheHelp = "Result-cache events across all shards";
-  b.Counter("htapex_tier_cache_events_total", kCacheHelp,
-            s.merged.cache_hits, {{"event", "hit"}});
-  b.Counter("htapex_tier_cache_events_total", kCacheHelp,
-            s.merged.cache_misses, {{"event", "miss"}});
-  b.Counter("htapex_tier_kb_inserts_total",
-            "Expert corrections incorporated across all shards",
-            s.merged.kb_inserts);
-
-  const char* kFailHelp = "Failover-tier events";
-  b.Counter("htapex_failover_events_total", kFailHelp, s.failover.failovers,
-            {{"event", "failover"}});
-  b.Counter("htapex_failover_events_total", kFailHelp, s.failover.hops,
-            {{"event", "hop"}});
-  b.Counter("htapex_failover_events_total", kFailHelp, s.failover.ejections,
-            {{"event", "ejection"}});
-  b.Counter("htapex_failover_events_total", kFailHelp,
-            s.failover.readmissions, {{"event", "readmission"}});
-  b.Counter("htapex_failover_events_total", kFailHelp, s.failover.kills,
-            {{"event", "kill"}});
-  b.Counter("htapex_failover_events_total", kFailHelp, s.failover.revivals,
-            {{"event", "revival"}});
-  b.Counter("htapex_failover_events_total", kFailHelp, s.failover.stalls,
-            {{"event", "stall"}});
-  b.Counter("htapex_failover_events_total", kFailHelp,
-            s.failover.no_live_shard, {{"event", "no_live_shard"}});
-  const char* kReplHelp = "Correction-replication events";
-  b.Counter("htapex_replication_events_total", kReplHelp,
-            s.failover.replications, {{"event", "shipped"}});
-  b.Counter("htapex_replication_events_total", kReplHelp,
-            s.failover.replicate_drops, {{"event", "dropped"}});
-  b.Counter("htapex_replication_events_total", kReplHelp,
-            s.failover.replicate_aborts, {{"event", "aborted"}});
-
-  if (s.merged.lifecycle_enabled) {
-    const LifecycleStats& l = s.merged.lifecycle;
-    const char* kLifecycleHelp =
-        "Model-lifecycle events summed across shards";
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.drift_detections, {{"event", "drift_detected"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.retrains, {{"event", "retrain"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.retrain_failures, {{"event", "retrain_failure"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.shadow_rejects, {{"event", "shadow_reject"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp, l.swaps,
-              {{"event", "swap"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.swap_failures, {{"event", "swap_failure"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.rollbacks, {{"event", "rollback"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.kb_expired, {{"event", "kb_expired"}});
-    b.Counter("htapex_tier_lifecycle_events_total", kLifecycleHelp,
-              l.kb_backfilled, {{"event", "kb_backfilled"}});
-    b.Counter("htapex_tier_lifecycle_feedback_samples_total",
-              "Execution-feedback samples recorded across shards",
-              l.feedback_samples);
-    b.Gauge("htapex_tier_lifecycle_max_version",
-            "Highest serving snapshot version on any shard",
-            static_cast<double>(l.active_version));
-  }
+  const LabeledFamily failover{"htapex_failover_events_total",
+                               "Failover-tier events", "event"};
+  b.Add(failover("failover"), s.failover.failovers);
+  b.Add(failover("hop"), s.failover.hops);
+  b.Add(failover("ejection"), s.failover.ejections);
+  b.Add(failover("readmission"), s.failover.readmissions);
+  b.Add(failover("kill"), s.failover.kills);
+  b.Add(failover("revival"), s.failover.revivals);
+  b.Add(failover("stall"), s.failover.stalls);
+  b.Add(failover("no_live_shard"), s.failover.no_live_shard);
+  const LabeledFamily replication{"htapex_replication_events_total",
+                                  "Correction-replication events", "event"};
+  b.Add(replication("shipped"), s.failover.replications);
+  b.Add(replication("dropped"), s.failover.replicate_drops);
+  b.Add(replication("aborted"), s.failover.replicate_aborts);
 
   b.Gauge("htapex_live_shards", "Shards currently serving on the ring",
           static_cast<double>(s.live_shards));
@@ -831,26 +764,6 @@ std::string ShardedExplainService::ExpositionText() const {
             "Shard health state (constant 1, labeled by state)", 1.0,
             {{"shard", std::to_string(i)},
              {"state", ShardHealthName(s.health[i])}});
-  }
-
-  const char* kStageHelp =
-      "Stage latency summaries bucket-merged across shards";
-  b.Summary("htapex_tier_stage_latency_ms", kStageHelp, s.merged.encode,
-            {{"stage", "encode"}});
-  b.Summary("htapex_tier_stage_latency_ms", kStageHelp,
-            s.merged.cache_lookup, {{"stage", "cache_lookup"}});
-  b.Summary("htapex_tier_stage_latency_ms", kStageHelp, s.merged.kb_search,
-            {{"stage", "kb_search"}});
-  b.Summary("htapex_tier_stage_latency_ms", kStageHelp, s.merged.generate,
-            {{"stage", "generate"}});
-  b.Summary("htapex_tier_stage_latency_ms", kStageHelp, s.merged.end_to_end,
-            {{"stage", "end_to_end"}});
-
-  const char* kSpanHelp =
-      "Per-span latency summaries bucket-merged across shards";
-  for (const TraceMetrics::SpanStat& span : s.merged_traces.spans) {
-    b.Summary("htapex_tier_span_latency_ms", kSpanHelp, span.hist,
-              {{"span", span.name}});
   }
   return b.Text();
 }

@@ -218,8 +218,10 @@ class ShardedExplainService {
 
   ShardHealth HealthOf(int shard) const;
   ShardedServiceStats Stats() const;
-  /// Merged Prometheus exposition (round-trips ParseExposition): fleet
-  /// counters + bucket-merged latency summaries + per-shard health gauges.
+  /// Merged Prometheus exposition (round-trips ParseExposition): every
+  /// single-service family over the shards' merge (ExplainService::
+  /// AppendExposition), plus the tier's own request, failover, replication
+  /// and shard-health families.
   std::string ExpositionText() const;
 
   /// Chronological, deterministic failover event log ("kill shard=2
@@ -283,10 +285,10 @@ class ShardedExplainService {
     std::mutex replica_mu;
     std::map<int, WalWriter> replica_writers;
     /// Stats carried over from destroyed incarnations of this shard, so a
-    /// kill never loses recorded samples.
+    /// kill never loses recorded samples (empty until the first kill; an
+    /// empty side merges as the identity).
     ServiceStats retained_stats;
     TraceMetrics::Stats retained_traces;
-    bool has_retained = false;
   };
 
   /// Shared tail of Init/InitFrom: fault spec, ring, shard construction.
@@ -308,8 +310,6 @@ class ShardedExplainService {
   void OnShardFailure(int shard);
   void OnShardSuccess(int shard);
   void LogEvent(const std::string& event);
-  ServiceStats ShardStatsLocked(int shard) const;
-  TraceMetrics::Stats ShardTracesLocked(int shard) const;
 
   const HtapSystem* system_;
   ExplainerConfig explainer_config_;

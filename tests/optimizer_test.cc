@@ -4,6 +4,7 @@
 #include "engine/htap_system.h"
 #include "plan/cardinality.h"
 #include "sql/binder.h"
+#include "workload/query_generator.h"
 
 namespace htapex {
 namespace {
@@ -215,17 +216,31 @@ TEST_F(OptimizerTest, ApDpNeverCostlierThanGreedy) {
   greedy_params.enable_dp = false;
   ApOptimizer dp_opt(system_->catalog(), dp_params);
   ApOptimizer greedy_opt(system_->catalog(), greedy_params);
-  for (const char* sql :
-       {"SELECT COUNT(*) FROM lineitem, orders, part, supplier WHERE "
-        "l_orderkey = o_orderkey AND l_partkey = p_partkey AND "
-        "l_suppkey = s_suppkey AND p_size = 10 AND s_acctbal > 8000",
-        "SELECT COUNT(*) FROM region, nation, customer, orders WHERE "
-        "r_regionkey = n_regionkey AND n_nationkey = c_nationkey AND "
-        "c_custkey = o_custkey AND r_name = 'asia'",
-        "SELECT COUNT(*) FROM customer, nation, orders WHERE o_custkey = "
-        "c_custkey AND n_nationkey = c_nationkey AND n_name = 'egypt'"}) {
+  std::vector<std::string> sqls = {
+      "SELECT COUNT(*) FROM lineitem, orders, part, supplier WHERE "
+      "l_orderkey = o_orderkey AND l_partkey = p_partkey AND "
+      "l_suppkey = s_suppkey AND p_size = 10 AND s_acctbal > 8000",
+      "SELECT COUNT(*) FROM region, nation, customer, orders WHERE "
+      "r_regionkey = n_regionkey AND n_nationkey = c_nationkey AND "
+      "c_custkey = o_custkey AND r_name = 'asia'",
+      "SELECT COUNT(*) FROM customer, nation, orders WHERE o_custkey = "
+      "c_custkey AND n_nationkey = c_nationkey AND n_name = 'egypt'"};
+  // The generated join mix bench_optimizer's dp-never-worse check plans:
+  // every join-bearing pattern, 5 queries each, at the same seeds.
+  for (QueryPattern pattern :
+       {QueryPattern::kJoinSmall, QueryPattern::kJoinLarge,
+        QueryPattern::kJoinFunctionPred, QueryPattern::kGroupByAggregate,
+        QueryPattern::kJoinStarChain}) {
+    QueryGenerator gen(system_->config().stats_scale_factor,
+                       0x0b71 ^ static_cast<uint64_t>(pattern));
+    for (int i = 0; i < 5; ++i) sqls.push_back(gen.Generate(pattern).sql);
+  }
+  int multi_join = 0;
+  for (const std::string& sql : sqls) {
     auto query = system_->Bind(sql);
     ASSERT_TRUE(query.ok()) << sql;
+    if (query->num_tables() < 2) continue;
+    ++multi_join;
     auto dp_plan = dp_opt.Plan(*query);
     auto greedy_plan = greedy_opt.Plan(*query);
     ASSERT_TRUE(dp_plan.ok() && greedy_plan.ok()) << sql;
@@ -233,6 +248,7 @@ TEST_F(OptimizerTest, ApDpNeverCostlierThanGreedy) {
               greedy_plan->root->total_cost * (1.0 + 1e-9))
         << sql;
   }
+  EXPECT_GE(multi_join, 20);
 }
 
 // Golden plan shape: on a selective chain the DP enumerator assembles the

@@ -184,6 +184,13 @@ TEST(HistogramMergeTest, MergeServiceStatsSumsCountersAndMergesHistograms) {
   b.completed = 5;
   b.errors = 2;
   b.durability_enabled = true;
+  a.resilience.breaker_opens = 2;
+  b.resilience.breaker_opens = 3;
+  a.durability.wal_appends = 4;
+  b.durability.wal_appends = 6;
+  a.lifecycle_enabled = b.lifecycle_enabled = true;
+  a.lifecycle.swaps = 1;
+  b.lifecycle.swaps = 2;
   LatencyHistogram ha, hb;
   ha.Record(1.0);
   hb.Record(9.0);
@@ -194,6 +201,9 @@ TEST(HistogramMergeTest, MergeServiceStatsSumsCountersAndMergesHistograms) {
   EXPECT_EQ(m.cache_hits, 1u);
   EXPECT_EQ(m.errors, 2u);
   EXPECT_TRUE(m.durability_enabled);
+  EXPECT_EQ(m.resilience.breaker_opens, 5u);
+  EXPECT_EQ(m.durability.wal_appends, 10u);
+  EXPECT_EQ(m.lifecycle.swaps, 3u);
   EXPECT_EQ(m.end_to_end.count, 2u);
   EXPECT_DOUBLE_EQ(m.end_to_end.min_ms, 1.0);
   EXPECT_DOUBLE_EQ(m.end_to_end.max_ms, 9.0);
@@ -578,7 +588,7 @@ TEST_F(ShardedServiceTest, ExpositionMergesShardsAndRoundTrips) {
         }
       }
     }
-    if (s.name == "htapex_tier_stage_latency_ms_count") {
+    if (s.name == "htapex_stage_latency_ms_count") {
       for (const auto& [k, v] : s.labels) {
         if (k == "stage" && v == "end_to_end") {
           saw_e2e_count = true;
@@ -591,6 +601,126 @@ TEST_F(ShardedServiceTest, ExpositionMergesShardsAndRoundTrips) {
   EXPECT_TRUE(saw_live);
   EXPECT_TRUE(saw_dead_health);
   EXPECT_TRUE(saw_e2e_count);
+}
+
+/// The set of (family, TYPE, label keys) an exposition declares: one entry
+/// per `# TYPE` family paired with the label keys of each of its samples
+/// (summary `_count`/`_sum` samples resolve to their family).
+std::set<std::string> ExpositionShape(const std::string& text) {
+  std::map<std::string, std::string> types;
+  size_t pos = 0;
+  while ((pos = text.find("# TYPE ", pos)) != std::string::npos) {
+    size_t eol = text.find('\n', pos);
+    std::string decl = text.substr(pos + 7, eol - pos - 7);
+    size_t sp = decl.find(' ');
+    types[decl.substr(0, sp)] = decl.substr(sp + 1);
+    pos = eol;
+  }
+  auto samples = ParseExposition(text);
+  EXPECT_TRUE(samples.ok()) << samples.status();
+  std::set<std::string> shape;
+  if (!samples.ok()) return shape;
+  for (const ExpositionSample& s : *samples) {
+    std::string family = s.name;
+    for (const char* suffix : {"_count", "_sum"}) {
+      if (types.count(family) == 0 && family.ends_with(suffix)) {
+        family.resize(family.size() - std::string(suffix).size());
+      }
+    }
+    std::string entry = family + " " + types[family];
+    for (const auto& [key, value] : s.labels) entry += " " + key;
+    shape.insert(entry);
+  }
+  return shape;
+}
+
+// One writer renders a service and the tier, so a 1-shard tier exposes
+// every family (with its type and label keys) a single service exposes
+// under the same ServiceConfig — with lifecycle on, and with durability.
+TEST_F(ShardedServiceTest, OneShardTierExposesEverySingleServiceFamily) {
+  for (bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "durability on" : "lifecycle on");
+    ShardedServiceConfig config;
+    config.num_shards = 1;
+    config.shard.lifecycle.enabled = !durable;
+    std::string tier_dir = UniqueDir("superset_tier");
+    std::string single_dir = UniqueDir("superset_single");
+    if (durable) config.data_dir = tier_dir;
+    auto tier = MakeTier(config);
+
+    ExplainerConfig ec;
+    HtapExplainer explainer(system_, ec);
+    explainer.mutable_router().CloneWeightsFrom(trained_->router());
+    std::unique_ptr<DurableKnowledgeBase> durable_kb;
+    ServiceConfig sc = config.shard;
+    if (durable) {
+      DurabilityOptions options;
+      options.dir = single_dir;
+      durable_kb = std::make_unique<DurableKnowledgeBase>(options);
+      ASSERT_TRUE(
+          durable_kb->Attach(&explainer.mutable_knowledge_base()).ok());
+      sc.durable = durable_kb.get();
+    }
+    std::set<std::string> single_shape;
+    {
+      ExplainService single(&explainer, sc);
+      for (const std::string& sql : QuerySet(3)) {
+        ASSERT_TRUE(single.ExplainSync(sql).ok());
+        ASSERT_TRUE(tier->Explain(sql).ok());
+      }
+      single_shape = ExpositionShape(single.ExpositionText());
+    }
+    std::set<std::string> tier_shape = ExpositionShape(tier->ExpositionText());
+    EXPECT_EQ(single_shape.count(durable ? "htapex_wal_appends_total counter"
+                                         : "htapex_lifecycle_events_total "
+                                           "counter event"),
+              1u);
+    for (const std::string& entry : single_shape) {
+      EXPECT_EQ(tier_shape.count(entry), 1u) << "tier lacks: " << entry;
+    }
+    tier.reset();
+    std::filesystem::remove_all(tier_dir);
+    std::filesystem::remove_all(single_dir);
+  }
+}
+
+// After a kill the tier still reports the dead shard's counts: its
+// retained stats are merged into the same service families.
+TEST_F(ShardedServiceTest, ExpositionSumsShardsIncludingKilledShard) {
+  auto tier = MakeTier();
+  for (const std::string& sql : QuerySet(8)) {
+    ASSERT_TRUE(tier->Explain(sql).ok());
+  }
+  auto key = tier->KeyForSql(QuerySet(1)[0]);
+  ASSERT_TRUE(key.ok());
+  tier->KillShard(tier->router()->Owner(*key));
+  ASSERT_TRUE(tier->Explain(QuerySet(1, /*salt=*/900)[0]).ok());
+
+  ShardedServiceStats stats = tier->Stats();
+  uint64_t attempts = 0, full = 0;
+  for (const ServiceStats& shard : stats.shards) {
+    attempts += shard.resilience.llm_attempts;
+    full += shard.degraded_full;
+  }
+  ASSERT_GT(attempts, 0u);
+  ASSERT_GT(full, 0u);
+  auto samples = ParseExposition(tier->ExpositionText());
+  ASSERT_TRUE(samples.ok()) << samples.status();
+  bool saw_attempts = false, saw_full = false;
+  for (const ExpositionSample& s : *samples) {
+    if (s.name == "htapex_llm_attempts_total") {
+      saw_attempts = true;
+      EXPECT_DOUBLE_EQ(s.value, static_cast<double>(attempts));
+    }
+    if (s.name == "htapex_degraded_total" && s.labels.size() == 1 &&
+        s.labels[0] == std::make_pair(std::string("level"),
+                                      std::string("full"))) {
+      saw_full = true;
+      EXPECT_DOUBLE_EQ(s.value, static_cast<double>(full));
+    }
+  }
+  EXPECT_TRUE(saw_attempts);
+  EXPECT_TRUE(saw_full);
 }
 
 TEST_F(ShardedServiceTest, SameSeedSameScriptSameEventLog) {
